@@ -20,7 +20,7 @@ import time
 from math import cos, pi, sin
 
 from . import __version__
-from .compose import achievable_range, compose
+from .compose import AchievableRange, compose
 from .construct import (
     alternating_max_matching,
     balanced_fourblock_bound,
@@ -39,6 +39,7 @@ from .core import (
     validate,
 )
 from .errors import (
+    CorruptJournal,
     DomainNegative,
     FalsificationAlarm,
     InvalidMatching,
@@ -174,21 +175,50 @@ ATLAS_HEADER = (
 )
 
 
+def _read_journal(path: str) -> dict[str, dict]:
+    """Rows of an atlas journal, keyed by coloring.
+
+    A write cut short leaves a last line that is unreadable or lacks its
+    newline.  That line is dropped and the file truncated to the end of
+    the last complete line, so the next row starts on a line of its own.
+    An unreadable line before the last one is corruption and raises.
+    """
+    done: dict[str, dict] = {}
+    with open(path, "rb") as handle:
+        lines = handle.readlines()
+    complete = 0  # bytes up to the end of the last complete line
+    for number, line in enumerate(lines, 1):
+        last = number == len(lines)
+        if line.strip():
+            try:
+                row = json.loads(line)
+                key = row["coloring"]
+            except (ValueError, KeyError, TypeError):
+                if not last:
+                    raise CorruptJournal(
+                        f"{path} line {number} is not a journal row"
+                    ) from None
+                break
+            if last and not line.endswith(b"\n"):
+                break
+            done[key] = row
+        complete += len(line)
+    if complete < sum(len(line) for line in lines):
+        with open(path, "r+b") as handle:
+            handle.truncate(complete)
+    return done
+
+
 def atlas(n: int, out_path: str, budget: SearchBudget | None = None) -> dict:
     """Spectrum atlas over all orbits: CSV rows plus a JSON summary.
 
     Progress is journaled per canonical coloring next to the output file,
-    so an interrupted run resumes where it stopped; the journal is
-    removed once the CSV and sidecar have been written atomically.
+    so an interrupted run resumes where it stopped, even after a torn
+    last write; the journal is removed once the CSV and sidecar have
+    been written atomically.
     """
     journal_path = out_path + ".journal"
-    done: dict[str, dict] = {}
-    if os.path.exists(journal_path):
-        with open(journal_path, encoding="utf-8") as handle:
-            for line in handle:
-                if line.strip():
-                    row = json.loads(line)
-                    done[row["coloring"]] = row
+    done = _read_journal(journal_path) if os.path.exists(journal_path) else {}
     reps = enumerate_colorings(n)
     with open(journal_path, "a", encoding="utf-8") as journal:
         for rep in reps:
@@ -261,7 +291,7 @@ def atlas(n: int, out_path: str, budget: SearchBudget | None = None) -> dict:
 def _budget(ns) -> SearchBudget:
     return SearchBudget(
         max_nodes=getattr(ns, "max_nodes", None),
-        jobs=getattr(ns, "jobs", 1) or 1,
+        jobs=getattr(ns, "jobs", 1),
     )
 
 
@@ -385,12 +415,11 @@ def _cmd_construct(ns) -> tuple[dict, int]:
 
 def _cmd_compose(ns) -> tuple[dict, int]:
     coloring = parse_coloring(ns.coloring)
-    window_range = achievable_range(coloring)
     matching, plan = compose(coloring, ns.k)
     return {
         "coloring": coloring.colors,
         "k": ns.k,
-        "achievable_max": window_range.max_k,
+        "achievable_max": AchievableRange(coloring.n, plan.ell).max_k,
         "windows": [list(w) for w in plan.windows],
         "targets": list(plan.targets or ()),
         "remainder": list(plan.remainder),

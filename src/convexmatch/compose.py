@@ -142,19 +142,25 @@ def compose(coloring: Coloring, k: int) -> tuple[Matching, CompositionPlan]:
     Each window is solved independently for its target (the window keeps
     the cyclic order of its points, so window-local crossing counts equal
     global ones), the remainder is matched crossing-free, and the union
-    is recounted; any discrepancy raises a falsification alarm.
+    is recounted; any discrepancy raises a falsification alarm.  Windows
+    with the same colors and target get the same local solution, so each
+    such pair is searched once per call.
     """
     plan = window_partition(coloring)
     targets = allocate(k, plan.ell)
+    solved: dict[tuple[str, int], tuple[tuple[int, int], ...]] = {}
     pairs = []
     for window, target in zip(plan.windows, targets):
         sub = _relabeled(coloring, window)
-        local = find_with_k(sub, target)
-        if local is None:
-            raise WindowSpectrumGap(
-                f"window {window} of {coloring} misses target {target}"
-            )
-        pairs += [(window[a], window[b]) for a, b in local.sorted_edges]
+        key = (sub.colors, target)
+        if key not in solved:
+            local = find_with_k(sub, target)
+            if local is None:
+                raise WindowSpectrumGap(
+                    f"window {window} of {coloring} misses target {target}"
+                )
+            solved[key] = local.sorted_edges
+        pairs += [(window[a], window[b]) for a, b in solved[key]]
     if plan.remainder:
         sub = _relabeled(coloring, plan.remainder)
         for a, b in plane_matching(sub).sorted_edges:

@@ -16,9 +16,11 @@ n mod 4; the constructions below realize the matchings behind it:
   is at least ``balanced_fourblock_bound(n)``, certifying that no
   coloring can force fewer crossings than the balanced 4-block one.
 
-Every constructed matching is recounted with the core crossing counter
-before it is returned; a construction that misses its guaranteed count
-raises a falsification alarm instead of returning quietly.
+Every constructed matching is recounted before it is returned, with the
+core's unvalidated O(n log n) counter ``_crossing_count`` (the
+constructions produce disjoint chords by design); a construction that
+misses its guaranteed count raises a falsification alarm instead of
+returning quietly.
 """
 
 from __future__ import annotations
@@ -467,22 +469,6 @@ def _group_partition_matching(coloring: Coloring, groups):
     return pairs
 
 
-def _pair_count(pairs) -> int:
-    """Crossing count for disjoint chords given as unordered pairs.
-
-    Leaner than the validating counter; the witness search calls this
-    once per candidate partition.
-    """
-    norm = sorted((a, b) if a < b else (b, a) for a, b in pairs)
-    total = 0
-    for i, (a, b) in enumerate(norm):
-        for c, d in norm[i + 1:]:
-            if c >= b:
-                break
-            total += d > b
-    return total
-
-
 def _balanced_cut_partitions(coloring: Coloring):
     """All arc quadruples from balanced antipodal cut pairs.
 
@@ -520,10 +506,29 @@ def _balanced_cut_partitions(coloring: Coloring):
             )
 
 
+def _lemma3_candidates(coloring: Coloring):
+    """Candidate witness matchings, as pair tuples, in tie-break order."""
+    n = coloring.n
+    if not antipodal_profile(coloring).s_positions:
+        yield tuple((i, i + n) for i in range(n))
+    else:
+        for groups in _balanced_cut_partitions(coloring):
+            yield tuple(_group_partition_matching(coloring, groups))
+    blocks = block_profile(coloring)
+    if len(blocks.runs) == 4:
+        matching, _ = fourblock_max_matching(blocks)
+        yield matching.sorted_edges
+    fitted = _sixblock_frame(blocks)
+    if fitted is not None:
+        frame, m, y1, y2 = fitted
+        yield tuple(_sixblock_joins(frame, m, y1, y2))
+
+
 def lemma3_witness(coloring: Coloring) -> tuple[Matching, int]:
     """Matching certifying the coloring's maximum is at least the bound.
 
-    Builds every applicable candidate and keeps the best:
+    Scores every applicable candidate as it is built and keeps the first
+    with the highest count:
 
     * empty core: match every antipodal pair, all C(n,2) pairs cross;
     * nonempty core: arc-to-antipodal-arc joins for every balanced
@@ -536,32 +541,14 @@ def lemma3_witness(coloring: Coloring) -> tuple[Matching, int]:
     If even the best candidate counts below ``balanced_fourblock_bound``,
     a falsification alarm is raised.
     """
-    n = coloring.n
-    profile = antipodal_profile(coloring)
-    candidates: list[tuple[tuple[int, int], ...]] = []
-    if not profile.s_positions:
-        candidates.append(tuple((i, i + n) for i in range(n)))
-    else:
-        for groups in _balanced_cut_partitions(coloring):
-            candidates.append(
-                tuple(_group_partition_matching(coloring, groups)))
-    blocks = block_profile(coloring)
-    if len(blocks.runs) == 4:
-        matching, _ = fourblock_max_matching(blocks)
-        candidates.append(matching.sorted_edges)
-    fitted = _sixblock_frame(blocks)
-    if fitted is not None:
-        frame, m, y1, y2 = fitted
-        candidates.append(tuple(_sixblock_joins(frame, m, y1, y2)))
-
     best_pairs = None
     best_count = -1
-    for pairs in candidates:
-        count = _pair_count(pairs)
+    for pairs in _lemma3_candidates(coloring):
+        count = _crossing_count(pairs, coloring.size)
         if count > best_count:
             best_pairs, best_count = pairs, count
     assert best_pairs is not None
-    bound = balanced_fourblock_bound(n).value
+    bound = balanced_fourblock_bound(coloring.n).value
     if best_count < bound:
         raise WitnessBelowBound(
             f"best witness for {coloring} has {best_count} crossings, "

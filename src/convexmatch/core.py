@@ -17,7 +17,6 @@ minimal over that symmetry group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import (
     InvalidMatching,
@@ -109,9 +108,14 @@ class Matching:
         return edge(*pair) in self.edges
 
 
-def _strictly_inside(p: int, a: int, b: int, size: int) -> bool:
-    # open clockwise arc from a to b
-    return 0 < (p - a) % size < (b - a) % size
+def _interleave(a: int, b: int, c: int, d: int) -> bool:
+    """Whether chords (a, b) and (c, d) on four distinct positions cross.
+
+    No validation.  Position x lies strictly between a and b exactly
+    when (x - a) * (x - b) < 0, and the chords cross exactly when one of
+    c, d does; the order within each pair does not matter.
+    """
+    return ((c - a) * (c - b) < 0) != ((d - a) * (d - b) < 0)
 
 
 def edges_cross(e1: tuple[int, int], e2: tuple[int, int], size: int) -> bool:
@@ -130,14 +134,47 @@ def edges_cross(e1: tuple[int, int], e2: tuple[int, int], size: int) -> bool:
         raise SharedEndpoint("edge with two equal endpoints")
     if {a, b} & {c, d}:
         raise SharedEndpoint(f"edges {e1} and {e2} share an endpoint")
-    return _strictly_inside(c, a, b, size) != _strictly_inside(d, a, b, size)
+    return _interleave(a, b, c, d)
 
 
 def _crossing_count(edges_seq, size: int) -> int:
-    """Crossing count of pairwise disjoint edges, no validation."""
-    return sum(
-        edges_cross(e, f, size) for e, f in combinations(edges_seq, 2)
-    )
+    """Crossing count of pairwise disjoint edges, no validation.
+
+    One clockwise scan in O(len(edges_seq) * log size) time.  A Fenwick
+    tree marks the left end of every chord that is open at the scan
+    position.  When chord (a, b) closes at b, the open chords whose left
+    end lies in (a, b) began inside it and end beyond it, so each
+    crosses it; every other chord is nested in it, disjoint from it, or
+    encloses it.
+    """
+    partner = [-1] * size
+    for a, b in edges_seq:
+        partner[a] = b
+        partner[b] = a
+    tree = [0] * (size + 1)  # 1-based; slot i + 1 holds position i
+    opened = 0
+    total = 0
+    for p in range(size):
+        a = partner[p]
+        if a > p:  # p opens a chord
+            opened += 1
+            i = p + 1
+            while i <= size:
+                tree[i] += 1
+                i += i & -i
+        elif a >= 0:  # p closes the chord from a
+            # every open left end lies before p; those after a cross
+            total += opened
+            i = a + 1
+            while i:
+                total -= tree[i]
+                i -= i & -i
+            opened -= 1
+            i = a + 1
+            while i <= size:
+                tree[i] -= 1
+                i += i & -i
+    return total
 
 
 def validate(coloring: Coloring, matching: Matching) -> list[str]:

@@ -67,6 +67,10 @@ class SizeLimitExceeded(UsageError):
     or environment variable)."""
 
 
+class CorruptJournal(UsageError):
+    """Atlas journal has an unreadable line before its last one."""
+
+
 class DomainNegative(Exception):
     """A well-posed question whose answer is that no such object exists."""
 

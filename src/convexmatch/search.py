@@ -6,9 +6,11 @@ are processed in clockwise order, and each tries the unused blue points
 in clockwise order.  That fixed order makes every reported witness
 deterministic.  Crossing counts are maintained incrementally through a
 precomputed crossing-mask table (one machine-word bitmask per candidate
-edge), and subtrees are cut with an interval bound: a partial assignment
-with d edges, c crossings so far, and r = n - d reds left can finish
-anywhere in [c, c + C(r,2) + r*d] and nowhere else.
+edge, filled by the core's unvalidated ``_interleave`` predicate, since
+every candidate edge is a well-formed (red, blue) pair), and subtrees
+are cut with an interval bound: a partial assignment with d edges, c
+crossings so far, and r = n - d reds left can finish anywhere in
+[c, c + C(r,2) + r*d] and nowhere else.
 
 ``minmax_sweep`` closes the loop with the closed-form bound: it computes
 the minimum over all colorings (one canonical representative per
@@ -26,7 +28,6 @@ import os
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from multiprocessing import Pool
 
 from .construct import balanced_fourblock_bound
 from .core import (
@@ -34,7 +35,7 @@ from .core import (
     RED,
     Coloring,
     Matching,
-    edges_cross,
+    _interleave,
     is_canonical,
 )
 from .errors import BudgetExceeded, OutOfRange, SizeLimitExceeded, SweepMismatch
@@ -56,17 +57,38 @@ class SearchBudget:
     jobs: int = 1
     max_n: int | None = None
 
+    def __post_init__(self):
+        if self.max_nodes is not None and self.max_nodes < 0:
+            raise OutOfRange(f"max_nodes={self.max_nodes} is negative")
+        if self.jobs < 1:
+            raise OutOfRange(f"jobs={self.jobs} is below 1")
+        if self.max_n is not None and self.max_n < 1:
+            raise OutOfRange(f"max_n={self.max_n} is below 1")
+
+
+def _env_limit(name: str, default: int) -> int:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        value = int(text)
+    except ValueError:
+        raise OutOfRange(f"{name}={text!r} is not an integer") from None
+    if value < 1:
+        raise OutOfRange(f"{name}={value} is below 1")
+    return value
+
 
 def _search_limit(budget: SearchBudget | None) -> int:
     if budget is not None and budget.max_n is not None:
         return budget.max_n
-    return int(os.environ.get("CONVEXMATCH_MAX_N", DEFAULT_SEARCH_LIMIT))
+    return _env_limit("CONVEXMATCH_MAX_N", DEFAULT_SEARCH_LIMIT)
 
 
 def _sweep_limit(budget: SearchBudget | None) -> int:
     if budget is not None and budget.max_n is not None:
         return budget.max_n
-    return int(os.environ.get("CONVEXMATCH_SWEEP_MAX_N", DEFAULT_SWEEP_LIMIT))
+    return _env_limit("CONVEXMATCH_SWEEP_MAX_N", DEFAULT_SWEEP_LIMIT)
 
 
 def _check_size(coloring: Coloring, budget: SearchBudget | None):
@@ -99,7 +121,6 @@ class _Tables:
     """Candidate edges of a coloring and their pairwise crossing masks."""
 
     def __init__(self, coloring: Coloring):
-        self.size = coloring.size
         self.reds = coloring.positions_of(RED)
         self.blues = coloring.positions_of(BLUE)
         n = len(self.reds)
@@ -107,23 +128,23 @@ class _Tables:
         self.edges = [
             (r, b) for r in self.reds for b in self.blues
         ]
-        count = len(self.edges)
-        self.masks = [0] * count
-        for x, y in combinations(range(count), 2):
-            a = self.edges[x]
-            b = self.edges[y]
-            if {a[0], a[1]} & {b[0], b[1]}:
+        edges = self.edges
+        masks = [0] * len(edges)
+        for x, y in combinations(range(len(edges)), 2):
+            a, b = edges[x]
+            c, d = edges[y]
+            # every edge is (red, blue), so a shared endpoint is a == c
+            # or b == d
+            if a == c or b == d:
                 continue
-            if edges_cross(a, b, self.size):
-                self.masks[x] |= 1 << y
-                self.masks[y] |= 1 << x
+            if _interleave(a, b, c, d):
+                masks[x] |= 1 << y
+                masks[y] |= 1 << x
+        self.masks = masks
         # most crossings any completion can still add, by depth
         self.room = [
             comb(n - d, 2) + (n - d) * d for d in range(n + 1)
         ]
-
-    def edge_id(self, red_index: int, blue_index: int) -> int:
-        return red_index * self.n + blue_index
 
     def matching(self, blue_of_red: list[int]) -> Matching:
         return Matching.from_pairs(
@@ -379,6 +400,8 @@ def minmax_sweep(
     jobs = budget.jobs if budget else 1
     results: list[tuple[str, int | None]] = []
     if jobs > 1:
+        from multiprocessing import Pool
+
         with Pool(jobs) as pool:
             chunk = max(1, len(reps) // (4 * jobs))
             results = pool.map(

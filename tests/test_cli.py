@@ -61,6 +61,15 @@ def test_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_bad_budgets_are_usage_errors(capsys, monkeypatch):
+    assert main(["spectrum", "--coloring", "RRBRBB", "--max-nodes", "-1"]) == 2
+    assert main(["sweep", "--n", "5", "--jobs", "-3"]) == 2
+    assert main(["spectrum", "--coloring", "RRBRBB", "--max-nodes", "0"]) == 1
+    monkeypatch.setenv("CONVEXMATCH_MAX_N", "abc")
+    assert main(["spectrum", "--coloring", "RRBB"]) == 2
+    capsys.readouterr()
+
+
 def test_usage_error_message(capsys):
     assert main(["construct", "alternating", "--n", "3"]) == 2
     err = capsys.readouterr().err
@@ -262,6 +271,53 @@ def test_atlas_resumes_from_journal(tmp_path):
     assert "2,BBRR,4,999,0,999," in content
     assert "2,BRBR,2,0,0,0," in content
     assert not journal.exists()
+
+
+def _interrupted_atlas(monkeypatch, n, out, rows):
+    """Run atlas until it has journaled ``rows`` more rows."""
+    import convexmatch.cli as cli
+
+    real = cli.spectrum
+    calls = []
+
+    def stopping(*args):
+        if len(calls) == rows:
+            raise KeyboardInterrupt
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "spectrum", stopping)
+    with pytest.raises(KeyboardInterrupt):
+        atlas(n, str(out))
+    monkeypatch.setattr(cli, "spectrum", real)
+
+
+def test_atlas_resumes_after_torn_journal(tmp_path, monkeypatch):
+    clean = tmp_path / "clean.csv"
+    atlas(4, str(clean))
+    out = tmp_path / "atlas.csv"
+    journal = tmp_path / "atlas.csv.journal"
+    _interrupted_atlas(monkeypatch, 4, out, 2)
+    with open(journal, "a") as handle:
+        handle.write('{"n": 4, "coloring": "BBBBRRRR", "orbit_si')
+    # the next rows must start on a fresh line, not on the fragment
+    _interrupted_atlas(monkeypatch, 4, out, 2)
+    lines = journal.read_text().splitlines()
+    assert len(lines) == 4
+    assert all(json.loads(line)["n"] == 4 for line in lines)
+    atlas(4, str(out))
+    assert out.read_bytes() == clean.read_bytes()
+    assert not journal.exists()
+
+
+def test_atlas_rejects_corrupt_journal(tmp_path, capsys):
+    out = tmp_path / "atlas.csv"
+    journal = tmp_path / "atlas.csv.journal"
+    journal.write_text('{"n": 2, "coloring": "BB\n'
+                       '{"n": 2, "coloring": "BRBR"}\n')
+    assert main(["atlas", "--n", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert journal.exists() and not out.exists()
 
 
 def test_atlas_rows_agree_with_library(tmp_path):

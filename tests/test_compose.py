@@ -6,10 +6,13 @@ import pytest
 
 from convexmatch import (
     Coloring,
+    Matching,
     achievable_range,
     allocate,
     compose,
     crossing_number,
+    find_with_k,
+    plane_matching,
     window_partition,
 )
 from convexmatch.errors import TooSmall, Unachievable
@@ -104,3 +107,24 @@ def test_compose_random_colorings():
             matching, plan = compose(col, k)
             assert crossing_number(col, matching) == k
             assert len(plan.targets) == len(plan.windows)
+
+
+def test_compose_equals_window_by_window_search():
+    # periodic colorings repeat their windows; 2n = 140 points, except
+    # that the period-6 pattern takes 144 to close its last period
+    for pattern, reps in (("RB", 70), ("RRBB", 35), ("RRRBBB", 24)):
+        col = Coloring(pattern * reps)
+        plan = window_partition(col)
+        for k in (0, 3, 16, 77, 15 * plan.ell):
+            pairs = []
+            for window, target in zip(plan.windows, allocate(k, plan.ell)):
+                sub = Coloring("".join(col.colors[p] for p in window))
+                local = find_with_k(sub, target)
+                pairs += [(window[a], window[b]) for a, b in local]
+            if plan.remainder:
+                rest = Coloring(
+                    "".join(col.colors[p] for p in plan.remainder))
+                pairs += [(plan.remainder[a], plan.remainder[b])
+                          for a, b in plane_matching(rest)]
+            matching, _ = compose(col, k)
+            assert matching == Matching.from_pairs(pairs)

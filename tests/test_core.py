@@ -18,9 +18,10 @@ from convexmatch import (
     edge,
     edges_cross,
     is_canonical,
+    plane_matching,
     validate,
 )
-from convexmatch.core import IDENTITY, Symmetry
+from convexmatch.core import IDENTITY, Symmetry, _crossing_count
 from convexmatch.errors import (
     InvalidMatching,
     OutOfRange,
@@ -84,6 +85,42 @@ def test_edges_cross_matches_oracle_everywhere():
                 continue
             assert edges_cross(e, f, size) == oracle.chords_cross(e, f)
             assert edges_cross(f, e, size) == edges_cross(e, f, size)
+
+
+def _random_perfect_matching(rng, n):
+    points = list(range(2 * n))
+    rng.shuffle(points)
+    return [(points[2 * i], points[2 * i + 1]) for i in range(n)]
+
+
+def test_crossing_count_matches_oracle():
+    rng = random.Random(31)
+    for n in range(1, 61):
+        size = 2 * n
+        for _ in range(3):
+            pairs = _random_perfect_matching(rng, n)
+            expected = oracle.count_crossings(pairs)
+            assert _crossing_count(pairs, size) == expected
+        antipodal = [(i, i + n) for i in range(n)]
+        assert _crossing_count(antipodal, size) == n * (n - 1) // 2
+        nested = [(i, size - 1 - i) for i in range(n)]
+        assert _crossing_count(nested, size) == 0
+        colors = ["R"] * n + ["B"] * n
+        rng.shuffle(colors)
+        plane = plane_matching(Coloring("".join(colors))).sorted_edges
+        assert _crossing_count(plane, size) == 0
+
+
+def test_crossing_count_matches_pairwise_at_n_200():
+    rng = random.Random(37)
+    size = 400
+    for _ in range(3):
+        pairs = _random_perfect_matching(rng, 200)
+        pairwise = sum(
+            edges_cross(e, f, size)
+            for i, e in enumerate(pairs) for f in pairs[i + 1:]
+        )
+        assert _crossing_count(pairs, size) == pairwise
 
 
 def test_matching_api():

@@ -1,5 +1,7 @@
 """Tests for the exhaustive searches and the minmax sweep."""
 
+import random
+
 import pytest
 
 import oracle
@@ -15,11 +17,13 @@ from convexmatch import (
     minmax_sweep,
     spectrum,
 )
+from convexmatch.core import edges_cross
 from convexmatch.errors import (
     BudgetExceeded,
     OutOfRange,
     SizeLimitExceeded,
 )
+from convexmatch.search import _Tables
 
 
 def test_spectrum_frozen_small():
@@ -176,3 +180,36 @@ def test_size_limit_env_override(monkeypatch):
     monkeypatch.setenv("CONVEXMATCH_MAX_N", "5")
     with pytest.raises(SizeLimitExceeded):
         spectrum(Coloring("RB" * 6))
+
+
+def test_tables_masks_match_edges_cross():
+    rng = random.Random(41)
+    for n in range(1, 9):
+        for _ in range(6):
+            colors = ["R"] * n + ["B"] * n
+            rng.shuffle(colors)
+            col = Coloring("".join(colors))
+            tables = _Tables(col)
+            for x, e in enumerate(tables.edges):
+                for y, f in enumerate(tables.edges):
+                    crossing = not set(e) & set(f) and edges_cross(
+                        e, f, col.size)
+                    assert bool(tables.masks[x] >> y & 1) == crossing
+
+
+def test_search_budget_rejects_bad_fields():
+    for fields in ({"max_nodes": -1}, {"jobs": 0}, {"jobs": -3},
+                   {"max_n": 0}):
+        with pytest.raises(OutOfRange):
+            SearchBudget(**fields)
+    assert SearchBudget(max_nodes=0).max_nodes == 0
+
+
+def test_size_limit_env_rejects_bad_values(monkeypatch):
+    for name, run in (("CONVEXMATCH_MAX_N", lambda: spectrum(Coloring("RB"))),
+                      ("CONVEXMATCH_SWEEP_MAX_N", lambda: minmax_sweep(2))):
+        for text in ("abc", "0", "-2", "1.5"):
+            monkeypatch.setenv(name, text)
+            with pytest.raises(OutOfRange):
+                run()
+        monkeypatch.delenv(name)
