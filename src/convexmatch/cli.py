@@ -428,12 +428,14 @@ def _cmd_compose(ns) -> tuple[dict, int]:
 
 
 def _cmd_sweep(ns) -> tuple[dict, int]:
-    value, minimizers = minmax_sweep(ns.n, _budget(ns))
+    settled: dict[str, int] = {}
+    value, minimizers = minmax_sweep(ns.n, _budget(ns), settled)
     return {
         "n": ns.n,
         "value": value,
         "bound": balanced_fourblock_bound(ns.n).value,
         "minimizers": [c.colors for c in minimizers],
+        "settled": settled,
     }, 0
 
 
@@ -473,7 +475,7 @@ _HANDLERS = {
 def _input_echo(ns) -> dict:
     echo = {}
     for key in ("coloring", "n", "k", "blocks", "kind", "matching", "jobs",
-                "max_nodes", "seed", "out"):
+                "max_nodes", "out"):
         value = getattr(ns, key, None)
         if value is not None:
             echo[key] = value
@@ -523,7 +525,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("text", "json", "csv"),
                         default="text", help="report format")
         sp.add_argument("--out", help="write the report (or artifact) here")
-        sp.add_argument("--seed", type=int, help="echoed into the report")
 
     sp = sub.add_parser("spectrum", help="all achievable crossing numbers")
     sp.add_argument("--coloring", required=True)

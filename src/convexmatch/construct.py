@@ -489,20 +489,20 @@ def _balanced_cut_partitions(coloring: Coloring):
         if p in in_core:
             step = 1 if coloring.colors[p] == RED else -1
         prefix[p + 1] = prefix[p] + step
+    # every arc is [lo, hi) with lo < 2n and hi - lo <= n, so a slice of
+    # two laps of the cycle gives its positions mod 2n
+    ring = tuple(range(size)) * 2
     for c1 in range(n):
         for c2 in range(c1, n):
             if prefix[c2] - prefix[c1] != 0:
                 continue
             if prefix[c1 + n] - prefix[c2] != 0:
                 continue
-            yield tuple(
-                tuple((lo + ofs) % size for ofs in range((hi - lo) % size))
-                for lo, hi in (
-                    (c1, c2),
-                    (c2, c1 + n),
-                    (c1 + n, c2 + n),
-                    (c2 + n, c1 + 2 * n),
-                )
+            yield (
+                ring[c1:c2],
+                ring[c2:c1 + n],
+                ring[c1 + n:c2 + n],
+                ring[c2 + n:c1 + 2 * n],
             )
 
 

@@ -34,10 +34,6 @@ BLUE = "B"
 _SWAP = str.maketrans(RED + BLUE, BLUE + RED)
 
 
-def opposite(color: str) -> str:
-    return BLUE if color == RED else RED
-
-
 @dataclass(frozen=True)
 class Coloring:
     """Cyclic two-coloring of 2n convex-position points, n of each color."""

@@ -15,7 +15,12 @@ crossings so far, and r = n - d reds left can finish anywhere in
 ``minmax_sweep`` closes the loop with the closed-form bound: it computes
 the minimum over all colorings (one canonical representative per
 symmetry orbit) of the maximum crossing number and insists the two
-routes agree, raising a falsification alarm otherwise.
+routes agree, raising a falsification alarm otherwise.  Every orbit
+runs one job: the paper's Lemma-3 witness settles it when its validated
+count exceeds the bound (the orbit cannot be a minimizer), and only the
+orbits it leaves get the search, capped at the bound and at
+``max_nodes`` nodes each.  The job is mapped in-process or over a pool
+of at most ``os.cpu_count()`` workers; there is no second path.
 
 Default size limits keep accidental combinatorial explosions out of
 interactive use; raise them through ``SearchBudget`` or the environment
@@ -29,16 +34,23 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .construct import balanced_fourblock_bound
+from .construct import balanced_fourblock_bound, lemma3_witness
 from .core import (
     BLUE,
     RED,
     Coloring,
     Matching,
     _interleave,
+    crossing_number,
     is_canonical,
 )
-from .errors import BudgetExceeded, OutOfRange, SizeLimitExceeded, SweepMismatch
+from .errors import (
+    BudgetExceeded,
+    OutOfRange,
+    SizeLimitExceeded,
+    SweepMismatch,
+    WitnessBelowBound,
+)
 
 DEFAULT_SEARCH_LIMIT = 10
 DEFAULT_SWEEP_LIMIT = 8
@@ -48,9 +60,10 @@ DEFAULT_SWEEP_LIMIT = 8
 class SearchBudget:
     """Resource knobs for searches.
 
-    ``max_nodes`` caps visited assignment nodes (None = unlimited),
-    ``jobs`` is the worker count for sweeps, and ``max_n`` overrides the
-    default instance-size limit.
+    ``max_nodes`` caps visited assignment nodes (None = unlimited; per
+    searched orbit in a sweep), ``jobs`` is the worker count for sweeps
+    (at most ``os.cpu_count()``), and ``max_n`` overrides the default
+    instance-size limit.
     """
 
     max_nodes: int | None = None
@@ -363,31 +376,50 @@ def enumerate_colorings(n: int) -> list[Coloring]:
     return [Coloring(c) for c in reps]
 
 
-def _orbit_max_capped(colors: str, cap: int) -> int | None:
-    """Exact maximum of one coloring if it is at most ``cap``, else None."""
-    result = _max_search(_Tables(Coloring(colors)), cap, _NodeBudget(None))
-    if result is None:
-        return None
-    return result[0]
+def _sweep_job(args: tuple[str, int, int | None]) -> tuple[str, int | None]:
+    """How one orbit was settled, and its maximum if at most ``bound``.
 
-
-def _sweep_job(args: tuple[str, int]) -> tuple[str, int | None]:
-    colors, cap = args
-    return colors, _orbit_max_capped(colors, cap)
+    A Lemma-3 witness recounted above the bound settles the orbit as
+    ``("witness", None)`` without a search.  Otherwise the capped search
+    gives ``("search", value)``, with None for a maximum above the
+    bound, or ``("budget", None)`` once it runs out of nodes.  A witness
+    below the bound settles nothing, so the search still decides.
+    """
+    colors, bound, max_nodes = args
+    coloring = Coloring(colors)
+    try:
+        witness, _ = lemma3_witness(coloring)
+    except WitnessBelowBound:
+        witness = None
+    if witness is not None and crossing_number(coloring, witness) > bound:
+        return "witness", None
+    try:
+        result = _max_search(_Tables(coloring), bound, _NodeBudget(max_nodes))
+    except _OutOfNodes:
+        return "budget", None
+    return "search", None if result is None else result[0]
 
 
 def minmax_sweep(
-    n: int, budget: SearchBudget | None = None
+    n: int,
+    budget: SearchBudget | None = None,
+    settled: dict[str, int] | None = None,
 ) -> tuple[int, list[Coloring]]:
     """Minimum over all orbits of the maximum crossing number.
 
     Returns the value and every canonical coloring attaining it, and
     cross-checks the value against ``balanced_fourblock_bound``; any
-    disagreement raises a falsification alarm.  Orbits are searched with
-    a cap: once a matching beats the running threshold the orbit cannot
-    attain the minimum and is dropped, which never affects the result.
-    With ``budget.jobs > 1`` orbits are sharded across processes (the cap
-    is then the closed-form value itself, keeping results identical).
+    disagreement raises a falsification alarm.  Only an orbit whose
+    maximum is at most the bound can attain the minimum, so each orbit
+    is first offered its ``lemma3_witness``: a witness recounted by
+    ``crossing_number`` above the bound drops the orbit with no search.
+    The rest get the exact branch and bound, aborted once a matching
+    beats the bound.  ``budget.max_nodes`` caps each searched orbit
+    (witness-settled orbits spend no nodes); running out raises
+    ``BudgetExceeded``.  ``budget.jobs`` above 1, clamped to the CPU
+    count, maps the same per-orbit job over a process pool, so results
+    do not depend on the worker count.  A ``settled`` dict receives how
+    many orbits the witness and the search settled.
     """
     limit = _sweep_limit(budget)
     if n > limit:
@@ -397,34 +429,37 @@ def minmax_sweep(
         )
     bound = balanced_fourblock_bound(n).value
     reps = enumerate_colorings(n)
-    jobs = budget.jobs if budget else 1
-    results: list[tuple[str, int | None]] = []
+    max_nodes = budget.max_nodes if budget else None
+    jobs = min(budget.jobs if budget else 1, os.cpu_count() or 1)
+    args = [(c.colors, bound, max_nodes) for c in reps]
     if jobs > 1:
         from multiprocessing import Pool
 
+        chunk = max(1, len(reps) // (4 * jobs))
         with Pool(jobs) as pool:
-            chunk = max(1, len(reps) // (4 * jobs))
-            results = pool.map(
-                _sweep_job, [(c.colors, bound) for c in reps], chunk
-            )
+            results = pool.map(_sweep_job, args, chunk)
     else:
-        running = bound
-        for rep in reps:
-            value = _orbit_max_capped(rep.colors, min(bound, running))
-            results.append((rep.colors, value))
-            if value is not None and value < running:
-                running = value
+        results = list(map(_sweep_job, args))
 
-    exact = [(c, v) for c, v in results if v is not None]
+    hows = [how for how, _ in results]
+    if "budget" in hows:
+        raise BudgetExceeded(
+            f"node budget exhausted on orbit {reps[hows.index('budget')]}"
+        )
+    exact = [(c, v) for c, (_, v) in zip(reps, results) if v is not None]
     if not exact:
         raise SweepMismatch(
             f"every orbit at n={n} exceeds the closed-form value {bound}"
         )
     low = min(v for _, v in exact)
-    minimizers = [Coloring(c) for c, v in exact if v == low]
+    minimizers = [c for c, v in exact if v == low]
     if low != bound:
         raise SweepMismatch(
             f"sweep minimum {low} at n={n} contradicts closed form {bound} "
             f"(minimizers: {[m.colors for m in minimizers]})"
+        )
+    if settled is not None:
+        settled.update(
+            (how, hows.count(how)) for how in ("witness", "search")
         )
     return low, minimizers

@@ -229,3 +229,15 @@ def test_criterion_10_searches_equal_naive_enumeration():
     report(10, time.time() - start, 60,
            "spectrum, max, and find agree with permutation enumeration on "
            "all 350 colorings n <= 5")
+
+
+def test_criterion_11_sweep_n10_single_balanced_fourblock_minimizer():
+    start = time.time()
+    value, minimizers = minmax_sweep(10, SearchBudget(max_n=10))
+    assert value == balanced_fourblock_bound(10).value == 32
+    canon, _ = canonicalize(balanced_fourblock_coloring(10))
+    assert [str(c) for c in minimizers] == [str(canon)] == \
+        ["BBBBBRRRRRBBBBBRRRRR"]
+    report(11, time.time() - start, 120,
+           "sweep over all 2518 orbits at n=10 equals the bound 32, the "
+           "balanced 4-block coloring is the only minimizer")

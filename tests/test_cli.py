@@ -224,6 +224,10 @@ def test_sweep_command(capsys):
     result = report["result"]
     assert result["value"] == 4
     assert result["minimizers"] == ["BBBRRBRR", "BBRRBBRR", "BRBRBRBR"]
+    assert result["settled"] == {"witness": 4, "search": 3}
+    assert report["input"] == {"n": 4, "jobs": 1}
+    assert main(["sweep", "--n", "4", "--seed", "1"]) == 2
+    capsys.readouterr()
 
 
 # ------------------------------------------------------------------ atlas

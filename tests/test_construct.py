@@ -1,5 +1,6 @@
 """Tests for the bound, the constructions, and the witness machinery."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,11 @@ from convexmatch import (
     sixblock_crossing_count,
     sixblock_witness,
 )
-from convexmatch.construct import _group_partition_matching, sixblock_sizes
+from convexmatch.construct import (
+    _balanced_cut_partitions,
+    _group_partition_matching,
+    sixblock_sizes,
+)
 from convexmatch.core import all_symmetries, antipodal_profile, edges_cross
 from convexmatch.errors import (
     ColorMismatch,
@@ -385,3 +390,34 @@ def test_witness_meets_bound_exhaustively():
             matching, count = lemma3_witness(col)
             assert crossing_number(col, matching) == count
             assert count >= bound
+
+
+def test_balanced_cut_arcs_match_modular_ranges():
+    # reference: arcs [lo, hi) mod 2n for every cut pair whose first two
+    # arcs are color-balanced on the monochromatic antipodal pairs
+    rng = random.Random(2309)
+    for _ in range(3000):
+        n = rng.randint(1, 30)
+        size = 2 * n
+        colors = ["R"] * n + ["B"] * n
+        rng.shuffle(colors)
+        col = Coloring("".join(colors))
+
+        def core_balance(lo, hi):
+            return sum(
+                (1 if colors[p % size] == RED else -1)
+                for p in range(lo, hi)
+                if colors[p % size] == colors[(p + n) % size]
+            )
+
+        expected = [
+            tuple(
+                tuple((lo + ofs) % size for ofs in range((hi - lo) % size))
+                for lo, hi in ((c1, c2), (c2, c1 + n), (c1 + n, c2 + n),
+                               (c2 + n, c1 + 2 * n))
+            )
+            for c1 in range(n)
+            for c2 in range(c1, n)
+            if core_balance(c1, c2) == core_balance(c2, c1 + n) == 0
+        ]
+        assert list(_balanced_cut_partitions(col)) == expected

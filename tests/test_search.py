@@ -1,6 +1,7 @@
 """Tests for the exhaustive searches and the minmax sweep."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -17,13 +18,21 @@ from convexmatch import (
     minmax_sweep,
     spectrum,
 )
+from convexmatch import search
 from convexmatch.core import edges_cross
 from convexmatch.errors import (
     BudgetExceeded,
     OutOfRange,
     SizeLimitExceeded,
+    SweepMismatch,
+    WitnessBelowBound,
 )
-from convexmatch.search import _Tables
+from convexmatch.search import (
+    _max_search,
+    _NodeBudget,
+    _sweep_job,
+    _Tables,
+)
 
 
 def test_spectrum_frozen_small():
@@ -160,6 +169,102 @@ def test_minmax_sweep_parallel_equals_sequential():
     par_value, par_cols = minmax_sweep(4, SearchBudget(jobs=2))
     assert (seq_value, [str(c) for c in seq_cols]) == \
         (par_value, [str(c) for c in par_cols])
+
+
+def sweep(n, budget=None):
+    """Sweep value, minimizer strings and settled counts."""
+    settled = {}
+    value, minimizers = minmax_sweep(n, budget, settled)
+    return value, [str(c) for c in minimizers], settled
+
+
+def test_minmax_sweep_jobs2_equals_jobs1_n6():
+    assert sweep(6, SearchBudget(jobs=2)) == sweep(6)
+
+
+def test_sweep_frozen_with_settled_counts():
+    expected = {
+        7: (15, ["BBBBRRRBBBRRRR"]),
+        8: (20, ["BBBBBRRRRBBBRRRR", "BBBBRRRRBBBBRRRR"]),
+        9: (26, ["BBBBBRRRRBBBBRRRRR"]),
+    }
+    settled = {2: (1, 1), 3: (2, 1), 4: (4, 3), 5: (12, 1), 6: (34, 1),
+               7: (84, 1), 8: (255, 2), 9: (764, 1)}
+    for n, (witness, searched) in settled.items():
+        value, minimizers, counts = sweep(n, SearchBudget(max_n=9))
+        assert counts == {"witness": witness, "search": searched}
+        assert witness + searched == len(enumerate_colorings(n))
+        if n in expected:
+            assert (value, minimizers) == expected[n]
+
+
+def test_sweep_job_equals_capped_search():
+    # the witness screen only drops orbits the capped search drops too
+    for n in range(1, 8):
+        bound = balanced_fourblock_bound(n).value
+        for rep in enumerate_colorings(n):
+            how, value = _sweep_job((rep.colors, bound, None))
+            capped = _max_search(_Tables(rep), bound, _NodeBudget(None))
+            assert value == (None if capped is None else capped[0]), rep
+            assert how in ("witness", "search")
+
+
+def test_sweep_without_witnesses_is_unchanged(monkeypatch):
+    def below(coloring):
+        raise WitnessBelowBound("disabled")
+
+    screened = sweep(6)
+    monkeypatch.setattr(search, "lemma3_witness", below)
+    value, minimizers, settled = sweep(6)
+    assert (value, minimizers) == screened[:2]
+    assert settled == {"witness": 0, "search": len(enumerate_colorings(6))}
+
+
+def test_sweep_mismatch_when_bound_is_off(monkeypatch):
+    true_bound = balanced_fourblock_bound(5)
+    for shift in (-1, 1):
+        fake = replace(true_bound, value=true_bound.value + shift)
+        monkeypatch.setattr(search, "balanced_fourblock_bound",
+                            lambda n: fake)
+        for jobs in (1, 2):
+            with pytest.raises(SweepMismatch):
+                minmax_sweep(5, SearchBudget(jobs=jobs))
+
+
+def test_minmax_sweep_honours_max_nodes():
+    for jobs in (1, 2):
+        with pytest.raises(BudgetExceeded):
+            minmax_sweep(6, SearchBudget(max_nodes=1, jobs=jobs))
+        value, minimizers = minmax_sweep(
+            6, SearchBudget(max_nodes=10**6, jobs=jobs))
+        assert (value, [str(c) for c in minimizers]) == (10, ["BBBRRRBBBRRR"])
+
+
+def test_sweep_jobs_clamped_to_cpu_count(monkeypatch):
+    import multiprocessing
+
+    workers = []
+
+    class FakePool:
+        def __init__(self, processes):
+            workers.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, iterable, chunksize=None):
+            return list(map(func, iterable))
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    expected = sweep(4)
+    for cpus, pools in ((None, []), (1, []), (3, [3])):
+        workers.clear()
+        monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+        assert sweep(4, SearchBudget(jobs=64)) == expected
+        assert workers == pools
 
 
 def test_size_limits():
