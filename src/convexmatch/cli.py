@@ -22,6 +22,7 @@ from math import cos, pi, sin
 from . import __version__
 from .compose import AchievableRange, compose
 from .construct import (
+    _sixblock_shape,
     alternating_max_matching,
     balanced_fourblock_bound,
     fourblock_max_matching,
@@ -379,19 +380,13 @@ def _cmd_construct(ns) -> tuple[dict, int]:
             raise UsageError("fourblock needs --blocks or --coloring")
         matching, count = fourblock_max_matching(block_profile(coloring))
     elif kind == "sixblock":
-        sizes = _parse_blocks(ns.blocks, 6)
-        if sizes[1] != sizes[4] or sizes[1] % 2 == 0:
-            raise NotSixBlockPattern(
-                "second and fifth blocks must share an odd size"
-            )
-        m = (sizes[1] - 1) // 2
-        y1, y2 = sizes[3], sizes[2]
-        if sizes[0] != sizes[1] + y1 or sizes[5] != sizes[4] + y2:
+        shape = _sixblock_shape(_parse_blocks(ns.blocks, 6))
+        if shape is None:
             raise NotSixBlockPattern(
                 "sizes must fit (2m+1+y1, 2m+1, y2, y1, 2m+1, 2m+1+y2)"
             )
-        coloring, matching = sixblock_witness(m, y1, y2)
-        count = sixblock_crossing_count(m, y1, y2)
+        coloring, matching = sixblock_witness(*shape)
+        count = sixblock_crossing_count(*shape)
     elif kind == "witness":
         coloring = parse_coloring(ns.coloring)
         matching, count = lemma3_witness(coloring)

@@ -333,6 +333,15 @@ def sixblock_witness(m: int, y1: int, y2: int) -> tuple[Coloring, Matching]:
     return coloring, matching
 
 
+def _sixblock_shape(sizes) -> tuple[int, int, int] | None:
+    """(m, y1, y2) when six positive block sizes read, in the order
+    given, (2m+1+y1, 2m+1, y2, y1, 2m+1, 2m+1+y2); else None."""
+    s0, s1, s2, s3, s4, s5 = sizes
+    if s1 != s4 or s1 % 2 == 0 or s0 != s1 + s3 or s5 != s4 + s2:
+        return None
+    return (s1 - 1) // 2, s3, s2
+
+
 def _sixblock_frame(profile: BlockProfile):
     """Fit a 6-run profile to the six-block pattern, if possible.
 
@@ -342,23 +351,14 @@ def _sixblock_frame(profile: BlockProfile):
     if len(profile.runs) != 6:
         return None
     blocks = profile.block_positions()
-    sizes = [len(b) for b in blocks]
     for j in range(6):
         for direction in (1, -1):
-            s = [sizes[(j + t * direction) % 6] for t in range(6)]
-            if s[1] != s[4] or s[1] % 2 == 0:
-                continue
-            m = (s[1] - 1) // 2
-            y1, y2 = s[3], s[2]
-            if y1 < 1 or y2 < 1:
-                continue
-            if s[0] != s[1] + y1 or s[5] != s[4] + y2:
-                continue
-            frame = []
-            for t in range(6):
-                positions = blocks[(j + t * direction) % 6]
-                frame.append(positions if direction == 1 else positions[::-1])
-            return frame, m, y1, y2
+            frame = [blocks[(j + t * direction) % 6] for t in range(6)]
+            shape = _sixblock_shape([len(b) for b in frame])
+            if shape is not None:
+                if direction == -1:
+                    frame = [positions[::-1] for positions in frame]
+                return (frame, *shape)
     return None
 
 
@@ -387,72 +387,39 @@ def group_partition(coloring: Coloring) -> GroupPartition:
 
     Core pairs are antipodal and monochromatic, so every half [c, c+n)
     automatically contains exactly half the core's red points and half
-    its blue points.  What the scan must find is a second cut that
-    splits one such half into two arcs that are each color-balanced on
-    the core and as close in core size as possible (the two arcs of a
-    half get m and m, or m and m+1, core points per color).  Cut gaps
-    (c1, c2) are scanned in lexicographic order, c1 in [0, n) and c2 in
-    [c1, c1+n).  Existence is guaranteed whenever the core is nonempty;
-    exhausting the scan raises a falsification alarm.
+    its blue points.  The pick is the first of
+    ``_balanced_cut_partitions`` (whose two arcs of a half are each
+    color-balanced on the core) whose first arc takes half of a half's
+    core reds, rounded either way, so the two arcs of a half get m and
+    m, or m and m+1, core points per color.  A qualifying cut pair with
+    c2 >= n would have its mirror (c2 - n, c1) earlier in lexicographic
+    order, so scanning only c2 < n loses nothing.  Existence is
+    guaranteed whenever the core is nonempty; exhausting the scan raises
+    a falsification alarm.
     """
     n = coloring.n
-    size = coloring.size
+    colors = coloring.colors
     profile = antipodal_profile(coloring)
     if not profile.s_positions:
         raise EmptyAntipodalCore("every antipodal pair is bichromatic")
     in_core = set(profile.s_positions)
 
-    # prefix balances/counts of core points before each position; both
-    # scanned arcs stay inside [0, 2n), so no wraparound case
-    prefix = [0] * (size + 1)
-    red_prefix = [0] * (size + 1)
-    for p in range(size):
-        red = p in in_core and coloring.colors[p] == RED
-        blue = p in in_core and coloring.colors[p] == BLUE
-        prefix[p + 1] = prefix[p] + red - blue
-        red_prefix[p + 1] = red_prefix[p] + red
+    def count(arc, core: bool, color: str) -> int:
+        return sum(
+            1 for p in arc if (p in in_core) == core and colors[p] == color
+        )
 
-    def core_balance(start: int, stop: int) -> int:
-        return prefix[stop] - prefix[start]
-
-    # core reds per half; the first arc must take half of them, rounded
-    # either way, so group core sizes follow the m / m+1 pattern
-    per_half = red_prefix[size] // 2
+    per_half = count(range(coloring.size), True, RED) // 2
     want = {per_half // 2, (per_half + 1) // 2}
-
-    for c1 in range(n):
-        for c2 in range(c1, c1 + n):
-            if (
-                core_balance(c1, c2) == 0
-                and core_balance(c2, c1 + n) == 0
-                and red_prefix[c2] - red_prefix[c1] in want
-            ):
-                groups = tuple(
-                    tuple((lo + ofs) % size for ofs in range((hi - lo) % size))
-                    for lo, hi in (
-                        (c1, c2),
-                        (c2, c1 + n),
-                        (c1 + n, c2 + n),
-                        (c2 + n, c1 + 2 * n),
-                    )
-                )
-
-                def b_count(arc) -> tuple[int, int]:
-                    reds = sum(
-                        1
-                        for p in arc
-                        if p not in in_core and coloring.colors[p] == RED
-                    )
-                    blues = sum(
-                        1
-                        for p in arc
-                        if p not in in_core and coloring.colors[p] == BLUE
-                    )
-                    return reds, blues
-
-                return GroupPartition(
-                    (c1, c2), groups, (b_count(groups[0]), b_count(groups[3]))
-                )
+    for groups in _balanced_cut_partitions(coloring):
+        if count(groups[0], True, RED) in want:
+            # the second arc [c2, c1+n) is never empty
+            cuts = (groups[1][-1] + 1 - n, groups[1][0])
+            b_counts = tuple(
+                (count(arc, False, RED), count(arc, False, BLUE))
+                for arc in (groups[0], groups[3])
+            )
+            return GroupPartition(cuts, groups, b_counts)
     raise NoBalancedCuts(f"no balanced antipodal cuts for {coloring}")
 
 
@@ -475,10 +442,10 @@ def _balanced_cut_partitions(coloring: Coloring):
     Core pairs are antipodal with matching colors, so an arc and its
     antipode have identical core composition; checking the two arcs of
     one half suffices.  Each unordered cut set {c1, c2, c1+n, c2+n} is
-    produced exactly once via 0 <= c1 <= c2 < n.  Unlike
-    ``group_partition`` this imposes no size constraint on the split:
-    the witness search wants every shape, not just the evenly halved
-    one.
+    produced exactly once via 0 <= c1 <= c2 < n, in lexicographic
+    order.  No size constraint is imposed on the split: the witness
+    search wants every shape, and ``group_partition`` filters for the
+    evenly halved one.
     """
     n = coloring.n
     size = coloring.size

@@ -4,13 +4,19 @@ A perfect matching of a coloring assigns each red point a blue point, so
 the n! assignments can be enumerated by depth-first search: red points
 are processed in clockwise order, and each tries the unused blue points
 in clockwise order.  That fixed order makes every reported witness
-deterministic.  Crossing counts are maintained incrementally through a
-precomputed crossing-mask table (one machine-word bitmask per candidate
-edge, filled by the core's unvalidated ``_interleave`` predicate, since
-every candidate edge is a well-formed (red, blue) pair), and subtrees
-are cut with an interval bound: a partial assignment with d edges, c
-crossings so far, and r = n - d reds left can finish anywhere in
-[c, c + C(r,2) + r*d] and nowhere else.
+deterministic: it is the first matching with its count in lexicographic
+order.  ``spectrum``, ``max_crossing``, ``find_with_k`` and the sweep
+all run one kernel, ``_dfs``, and differ only in what they want.  The
+kernel carries a bitmask of the crossing counts still wanted (every
+count not yet found, every count above the incumbent maximum, or just
+k) and each search's leaf callback shrinks it.  Crossing counts are
+maintained incrementally through a precomputed crossing-mask table (one
+machine-word bitmask per candidate edge), and a subtree is cut when no
+wanted count fits its completion interval: a partial assignment with d
+edges, c crossings so far, and r = n - d reds left can finish anywhere
+in [c, c + C(r,2) + r*d] and nowhere else.  The search stops as soon as
+nothing is left to want, so ``max_nodes`` counts only the nodes visited
+before then.
 
 ``minmax_sweep`` closes the loop with the closed-form bound: it computes
 the minimum over all colorings (one canonical representative per
@@ -30,6 +36,8 @@ variables ``CONVEXMATCH_MAX_N`` and ``CONVEXMATCH_SWEEP_MAX_N``.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -40,7 +48,6 @@ from .core import (
     RED,
     Coloring,
     Matching,
-    _interleave,
     crossing_number,
     is_canonical,
 )
@@ -131,32 +138,46 @@ class Spectrum:
 
 
 class _Tables:
-    """Candidate edges of a coloring and their pairwise crossing masks."""
+    """Candidate edges of a coloring and their pairwise crossing masks.
+
+    Edge ``i * n + j`` joins the i-th red to the j-th blue point, both in
+    clockwise order, and its mask has bit ``i' * n + j'`` set when edge
+    (i', j') crosses it: when exactly one of red i' and blue j' lies
+    strictly inside its chord.  The reds inside a chord, and the blues
+    inside, are runs of consecutive indices, so each mask is the inside
+    blues written into every outside red's row plus the outside blues
+    written into every inside red's row, neither with the shared ends.
+    """
 
     def __init__(self, coloring: Coloring):
-        self.reds = coloring.positions_of(RED)
-        self.blues = coloring.positions_of(BLUE)
-        n = len(self.reds)
-        self.n = n
-        self.edges = [
-            (r, b) for r in self.reds for b in self.blues
-        ]
-        edges = self.edges
-        masks = [0] * len(edges)
-        for x, y in combinations(range(len(edges)), 2):
-            a, b = edges[x]
-            c, d = edges[y]
-            # every edge is (red, blue), so a shared endpoint is a == c
-            # or b == d
-            if a == c or b == d:
-                continue
-            if _interleave(a, b, c, d):
-                masks[x] |= 1 << y
-                masks[y] |= 1 << x
+        reds = self.reds = coloring.positions_of(RED)
+        blues = self.blues = coloring.positions_of(BLUE)
+        n = self.n = len(reds)
+        self.edges = [(r, b) for r in reds for b in blues]
+        # rows[k] has the lowest bit of each of the first k red rows, so
+        # row_bits * (rows[c] - rows[a]) copies row_bits into rows a..c-1
+        rows = [0]
+        for i in range(n):
+            rows.append(rows[-1] | 1 << (i * n))
+        full = (1 << n) - 1
+        masks = []
+        for i, r in enumerate(reds):
+            for j, b in enumerate(blues):
+                lo, hi = (r, b) if r < b else (b, r)
+                blues_in = ((1 << bisect_left(blues, hi))
+                            - (1 << bisect_right(blues, lo)))
+                reds_in = (rows[bisect_left(reds, hi)]
+                           - rows[bisect_right(reds, lo)])
+                masks.append(
+                    blues_in * (rows[n] - reds_in - (1 << i * n))
+                    + (full - blues_in - (1 << j)) * reds_in
+                )
         self.masks = masks
-        # most crossings any completion can still add, by depth
-        self.room = [
-            comb(n - d, 2) + (n - d) * d for d in range(n + 1)
+        # bit t of spans[d] is set when a completion from depth d can
+        # still add t crossings: C(r,2) + r*d at most, with r = n - d
+        self.spans = [
+            (1 << (comb(n - d, 2) + (n - d) * d + 1)) - 1
+            for d in range(n + 1)
         ]
 
     def matching(self, blue_of_red: list[int]) -> Matching:
@@ -169,72 +190,86 @@ class _NodeBudget:
     def __init__(self, max_nodes: int | None):
         self.left = max_nodes
 
-    def spend(self) -> bool:
-        if self.left is None:
-            return True
-        if self.left == 0:
-            return False
-        self.left -= 1
-        return True
+    def spend(self):
+        if self.left is not None:
+            if self.left == 0:
+                raise BudgetExceeded("node budget exhausted")
+            self.left -= 1
 
 
-def spectrum(coloring: Coloring, budget: SearchBudget | None = None) -> Spectrum:
-    """Every achievable crossing number, with a first-found witness each.
+def _dfs(
+    tables: _Tables,
+    wanted: int,
+    nodes: _NodeBudget,
+    hit: Callable[[int, list[int]], int],
+) -> None:
+    """Depth-first search for matchings whose crossing counts are wanted.
 
-    A subtree is pruned when no still-unseen value fits in its completion
-    interval, which cannot discard an unseen value.  Exhausting the node
-    budget raises with the incomplete spectrum attached.
+    ``wanted`` is a bitmask of the counts still worth reaching.  Each
+    visited node spends one of ``nodes``; a node whose completion
+    interval holds no wanted count is cut.  A leaf with a wanted count
+    calls ``hit(count, assigned)`` (``assigned[i]`` is the blue index of
+    red i, valid only during the call), which returns the new mask; the
+    search stops once that is 0.
     """
-    _check_size(coloring, budget)
-    tables = _Tables(coloring)
     n = tables.n
-    nodes = _NodeBudget(budget.max_nodes if budget else None)
-    top = comb(n, 2)
-    unseen = (1 << (top + 1)) - 1
-    witnesses: dict[int, Matching] = {}
+    masks = tables.masks
+    spans = tables.spans
+    spend = nodes.spend
     assigned: list[int] = []
 
-    def dive(depth: int, used: int, chosen: int, current: int):
-        nonlocal unseen
-        if not nodes.spend():
-            raise _OutOfNodes
+    def dive(depth: int, used: int, chosen: int, current: int,
+             wanted: int) -> int:
+        spend()
+        if not wanted >> current & spans[depth]:
+            return wanted
         if depth == n:
-            bit = 1 << current
-            if unseen & bit:
-                unseen &= ~bit
-                witnesses[current] = tables.matching(assigned)
-            return
-        room = tables.room[depth]
-        window = ((1 << (room + 1)) - 1) << current
-        if not unseen & window:
-            return
+            return hit(current, assigned)
         base = depth * n
         for j in range(n):
             jbit = 1 << j
             if used & jbit:
                 continue
             e = base + j
-            delta = (tables.masks[e] & chosen).bit_count()
             assigned.append(j)
-            dive(depth + 1, used | jbit, chosen | (1 << e), current + delta)
+            wanted = dive(depth + 1, used | jbit, chosen | (1 << e),
+                          current + (masks[e] & chosen).bit_count(), wanted)
             assigned.pop()
+            if not wanted:
+                break
+        return wanted
+
+    dive(0, 0, 0, 0, wanted)
+
+
+def spectrum(coloring: Coloring, budget: SearchBudget | None = None) -> Spectrum:
+    """Every achievable crossing number, with a first-found witness each.
+
+    Every count not yet found is wanted, so no subtree that could hold
+    one is cut, and the search stops once all C(n,2) + 1 counts are
+    found.  Exhausting the node budget raises with the incomplete
+    spectrum attached.
+    """
+    _check_size(coloring, budget)
+    tables = _Tables(coloring)
+    nodes = _NodeBudget(budget.max_nodes if budget else None)
+    unseen = tables.spans[0]
+    witnesses: dict[int, Matching] = {}
+
+    def hit(count: int, assigned: list[int]) -> int:
+        nonlocal unseen
+        witnesses[count] = tables.matching(assigned)
+        unseen &= ~(1 << count)
+        return unseen
 
     try:
-        dive(0, 0, 0, 0)
-    except _OutOfNodes:
-        partial = Spectrum(
-            n,
-            tuple(k for k in range(top + 1) if not unseen & (1 << k)),
-            witnesses,
-            complete=False,
+        _dfs(tables, unseen, nodes, hit)
+    except BudgetExceeded as out:
+        out.partial = Spectrum(
+            tables.n, tuple(sorted(witnesses)), witnesses, complete=False
         )
-        raise BudgetExceeded("node budget exhausted", partial=partial)
-    achievable = tuple(k for k in range(top + 1) if not unseen & (1 << k))
-    return Spectrum(n, achievable, witnesses)
-
-
-class _OutOfNodes(Exception):
-    pass
+        raise
+    return Spectrum(tables.n, tuple(sorted(witnesses)), witnesses)
 
 
 def _max_search(
@@ -242,48 +277,26 @@ def _max_search(
 ) -> tuple[int, list[int]] | None:
     """Exact maximum via branch and bound, or None once it exceeds ``cap``.
 
-    The bound prunes subtrees that cannot beat the incumbent; with a cap,
-    the search aborts as soon as any matching surpasses it, which is all
-    a min-over-orbits caller needs to discard the orbit.
+    Only counts above the incumbent are wanted, so subtrees that cannot
+    beat it are cut; with a cap, the search stops as soon as any
+    matching surpasses it, which is all a min-over-orbits caller needs
+    to discard the orbit.
     """
-    n = tables.n
+    every = tables.spans[0]
     best = -1
     best_assigned: list[int] = []
-    assigned: list[int] = []
 
-    def dive(depth: int, used: int, chosen: int, current: int):
+    def hit(count: int, assigned: list[int]) -> int:
         nonlocal best, best_assigned
-        if not nodes.spend():
-            raise _OutOfNodes
-        if depth == n:
-            if current > best:
-                best = current
-                best_assigned = assigned.copy()
-                if cap is not None and best > cap:
-                    raise _CapHit
-            return
-        if current + tables.room[depth] <= best:
-            return
-        base = depth * n
-        for j in range(n):
-            jbit = 1 << j
-            if used & jbit:
-                continue
-            e = base + j
-            delta = (tables.masks[e] & chosen).bit_count()
-            assigned.append(j)
-            dive(depth + 1, used | jbit, chosen | (1 << e), current + delta)
-            assigned.pop()
+        best, best_assigned = count, assigned.copy()
+        if cap is not None and count > cap:
+            return 0
+        return every >> (count + 1) << (count + 1)
 
-    try:
-        dive(0, 0, 0, 0)
-    except _CapHit:
+    _dfs(tables, every, nodes, hit)
+    if cap is not None and best > cap:
         return None
     return best, best_assigned
-
-
-class _CapHit(Exception):
-    pass
 
 
 def max_crossing(
@@ -293,12 +306,7 @@ def max_crossing(
     _check_size(coloring, budget)
     tables = _Tables(coloring)
     nodes = _NodeBudget(budget.max_nodes if budget else None)
-    try:
-        result = _max_search(tables, None, nodes)
-    except _OutOfNodes:
-        raise BudgetExceeded("node budget exhausted")
-    assert result is not None
-    value, assigned = result
+    value, assigned = _max_search(tables, None, nodes)
     return value, tables.matching(assigned)
 
 
@@ -314,45 +322,18 @@ def find_with_k(
     if k < 0:
         return None
     tables = _Tables(coloring)
-    n = tables.n
     nodes = _NodeBudget(budget.max_nodes if budget else None)
-    assigned: list[int] = []
-    found: list[int] | None = None
+    found: Matching | None = None
 
-    def dive(depth: int, used: int, chosen: int, current: int) -> bool:
+    def hit(count: int, assigned: list[int]) -> int:
         nonlocal found
-        if not nodes.spend():
-            raise _OutOfNodes
-        if depth == n:
-            if current == k:
-                found = assigned.copy()
-                return True
-            return False
-        if current > k or current + tables.room[depth] < k:
-            return False
-        base = depth * n
-        for j in range(n):
-            jbit = 1 << j
-            if used & jbit:
-                continue
-            e = base + j
-            delta = (tables.masks[e] & chosen).bit_count()
-            assigned.append(j)
-            hit = dive(depth + 1, used | jbit, chosen | (1 << e),
-                       current + delta)
-            assigned.pop()
-            if hit:
-                return True
-        return False
+        found = tables.matching(assigned)
+        return 0
 
-    try:
-        hit = dive(0, 0, 0, 0)
-    except _OutOfNodes:
-        raise BudgetExceeded("node budget exhausted")
-    if not hit:
-        return None
-    assert found is not None
-    return tables.matching(found)
+    # a k above C(n,2) is wanted by nobody; the root alone is visited
+    wanted = 1 << k if k <= comb(tables.n, 2) else 0
+    _dfs(tables, wanted, nodes, hit)
+    return found
 
 
 def enumerate_colorings(n: int) -> list[Coloring]:
@@ -395,7 +376,7 @@ def _sweep_job(args: tuple[str, int, int | None]) -> tuple[str, int | None]:
         return "witness", None
     try:
         result = _max_search(_Tables(coloring), bound, _NodeBudget(max_nodes))
-    except _OutOfNodes:
+    except BudgetExceeded:
         return "budget", None
     return "search", None if result is None else result[0]
 

@@ -182,6 +182,8 @@ def test_construct_sixblock(capsys):
     assert result["matching"]["text"] == "0-4,1-6,2-5,3-7"
     # size vector that is not of the special shape
     assert main(["construct", "sixblock", "--blocks", "1,1,1,1,1,1"]) == 2
+    # a rotation of the special shape is read in the order given
+    assert main(["construct", "sixblock", "--blocks", "1,1,1,1,2,2"]) == 2
     capsys.readouterr()
 
 

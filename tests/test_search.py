@@ -318,3 +318,62 @@ def test_size_limit_env_rejects_bad_values(monkeypatch):
             with pytest.raises(OutOfRange):
                 run()
         monkeypatch.delenv(name)
+
+
+def first_by_count(rep):
+    """First matching of each crossing count in permutation order."""
+    first = {}
+    for pairs in oracle.all_matchings(rep):
+        first.setdefault(oracle.count_crossings(pairs), tuple(sorted(pairs)))
+    return first
+
+
+def test_witnesses_are_first_in_lexicographic_order():
+    for n in range(1, 7):
+        for rep in oracle.canonical_reps(n):
+            col = Coloring(rep)
+            first = first_by_count(rep)
+            spec = spectrum(col)
+            assert {k: m.sorted_edges for k, m in spec.witnesses.items()} \
+                == first, rep
+            for k in range(n * (n - 1) // 2 + 1):
+                found = find_with_k(col, k)
+                assert (found and found.sorted_edges) == first.get(k), (rep, k)
+            value, matching = max_crossing(col)
+            assert value == max(first)
+            assert matching.sorted_edges == first[value], rep
+
+
+def test_max_nodes_boundary(monkeypatch):
+    # nodes spent by spectrum, max_crossing and find_with_k(k=2), pinned
+    # so that a change to pruning shows; RBRBRBRB has no matching with 2
+    # crossings, and BBBRRRRB reaches C(4,2) = 6, where spectrum and
+    # max_crossing stop as nothing more is wanted
+    spent = {
+        "RRBRBB": (15, 13, 4),
+        "RBRBRBRB": (65, 49, 63),
+        "BBBRRRRB": (42, 29, 9),
+    }
+    budgets = []
+
+    class Recorded(_NodeBudget):
+        def __init__(self, max_nodes):
+            super().__init__(max_nodes)
+            budgets.append(self)
+
+    monkeypatch.setattr(search, "_NodeBudget", Recorded)
+    runs = (
+        lambda col, budget: spectrum(col, budget),
+        lambda col, budget: max_crossing(col, budget),
+        lambda col, budget: find_with_k(col, 2, budget),
+    )
+    plenty = 10**6
+    for colors, expected in spent.items():
+        col = Coloring(colors)
+        for run, nodes in zip(runs, expected):
+            budgets.clear()
+            run(col, SearchBudget(max_nodes=plenty))
+            assert plenty - budgets[0].left == nodes, colors
+            run(col, SearchBudget(max_nodes=nodes))
+            with pytest.raises(BudgetExceeded):
+                run(col, SearchBudget(max_nodes=nodes - 1))
