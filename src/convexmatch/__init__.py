@@ -26,7 +26,6 @@ from .construct import (
     alternating_max_matching,
     balanced_fourblock_bound,
     balanced_fourblock_coloring,
-    crossing_family_join,
     fourblock_max_matching,
     group_partition,
     h_value,
@@ -106,7 +105,6 @@ __all__ = [
     "block_profile",
     "canonicalize",
     "compose",
-    "crossing_family_join",
     "crossing_number",
     "edge",
     "edges_cross",

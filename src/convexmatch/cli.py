@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -22,6 +23,7 @@ from math import cos, pi, sin
 from . import __version__
 from .compose import AchievableRange, compose
 from .construct import (
+    _runs_coloring,
     _sixblock_shape,
     alternating_max_matching,
     balanced_fourblock_bound,
@@ -34,7 +36,7 @@ from .construct import (
 from .core import (
     Coloring,
     Matching,
-    all_symmetries,
+    _orbit_bases,
     block_profile,
     crossing_number,
     validate,
@@ -72,6 +74,8 @@ def parse_coloring(text: str) -> Coloring:
     for match in _RUN_TOKEN.finditer(stripped):
         if match.start() != consumed:
             raise ParseError(f"unreadable coloring text {text!r}")
+        if int(match.group(1)) == 0:
+            raise ParseError(f"zero-length run in coloring text {text!r}")
         parts.append(match.group(2).upper() * int(match.group(1)))
         consumed = match.end()
     if consumed != len(stripped):
@@ -226,7 +230,11 @@ def atlas(n: int, out_path: str, budget: SearchBudget | None = None) -> dict:
             if rep.colors in done:
                 continue
             spec = spectrum(rep, budget)
-            orbit = {sym.apply(rep).colors for sym in all_symmetries(rep.size)}
+            orbit = {
+                base[r:] + base[:r]
+                for base in _orbit_bases(rep.colors)
+                for r in range(rep.size)
+            }
             low = spec.achievable[0]
             high = spec.achievable[-1]
             row = {
@@ -308,12 +316,6 @@ def _parse_blocks(text: str, expected: int) -> list[int]:
     return sizes
 
 
-def _blocks_to_coloring(sizes: list[int]) -> Coloring:
-    return Coloring(
-        "".join(("R" if i % 2 == 0 else "B") * s for i, s in enumerate(sizes))
-    )
-
-
 def _cmd_spectrum(ns) -> tuple[dict, int]:
     coloring = parse_coloring(ns.coloring)
     spec = spectrum(coloring, _budget(ns))
@@ -373,7 +375,7 @@ def _cmd_construct(ns) -> tuple[dict, int]:
         count = crossing_number(coloring, matching)
     elif kind == "fourblock":
         if ns.blocks:
-            coloring = _blocks_to_coloring(_parse_blocks(ns.blocks, 4))
+            coloring = _runs_coloring(_parse_blocks(ns.blocks, 4))
         elif ns.coloring:
             coloring = parse_coloring(ns.coloring)
         else:
@@ -503,7 +505,9 @@ def _format_report(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="convexmatch",
         description=(
@@ -593,6 +597,21 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         result, code = _HANDLERS[ns.command](ns)
+        report = {
+            "schema": 1,
+            "version": __version__,
+            "command": ns.command,
+            "input": _input_echo(ns),
+            "result": result,
+            "elapsed_ms": int((time.monotonic() - started) * 1000),
+        }
+        text = _format_report(report, ns.format)
+        # atlas and render already wrote their artifact to --out
+        if ns.out and ns.command not in ("atlas", "render"):
+            with open(ns.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -605,21 +624,6 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
         return 2
-    report = {
-        "schema": 1,
-        "version": __version__,
-        "command": ns.command,
-        "input": _input_echo(ns),
-        "result": result,
-        "elapsed_ms": int((time.monotonic() - started) * 1000),
-    }
-    text = _format_report(report, ns.format)
-    # atlas and render already wrote their artifact to --out
-    if ns.out and ns.command not in ("atlas", "render"):
-        with open(ns.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

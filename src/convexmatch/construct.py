@@ -16,11 +16,14 @@ n mod 4; the constructions below realize the matchings behind it:
   is at least ``balanced_fourblock_bound(n)``, certifying that no
   coloring can force fewer crossings than the balanced 4-block one.
 
-Every constructed matching is recounted before it is returned, with the
-core's unvalidated O(n log n) counter ``_crossing_count`` (the
-constructions produce disjoint chords by design); a construction that
-misses its guaranteed count raises a falsification alarm instead of
-returning quietly.
+The constructions share one arc join (``_join``, index by index), one
+scan of block frames (``_frames``) and one builder from run sizes to a
+coloring (``_runs_coloring``).  Every returned construction is checked
+once, by the validating ``crossing_number``, against its closed form or
+the bound; a construction that misses its guaranteed count raises a
+falsification alarm instead of returning quietly.  ``lemma3_witness``
+scores its candidates with the unvalidated O(n log n) counter
+``_crossing_count`` and checks only the winner.
 """
 
 from __future__ import annotations
@@ -38,17 +41,48 @@ from .core import (
     _crossing_count,
     antipodal_profile,
     block_profile,
+    crossing_number,
 )
 from .errors import (
-    ColorMismatch,
     EmptyAntipodalCore,
     NoBalancedCuts,
     NotFourBlock,
     OddN,
     OutOfRange,
-    SizeMismatch,
     WitnessBelowBound,
 )
+
+
+def _join(arc_pairs) -> list[tuple[int, int]]:
+    """Join each pair of equal-sized arcs index by index.
+
+    Joining the i-th point of one arc to the i-th point of the other
+    (both read in the same rotational direction) makes the edges of one
+    join pairwise crossing whenever the arcs are disjoint.
+    """
+    return [pair for xs, ys in arc_pairs for pair in zip(xs, ys)]
+
+
+def _frames(profile: BlockProfile):
+    """Every relabeling of the runs: (lead run's color, blocks).
+
+    Starts at each run in turn, forward and then reflected.  The blocks
+    are position tuples in a consistent rotational direction (reversed
+    tuples for the reflected frames), so joins can speak of the first or
+    last points of a block without caring about the original orientation.
+    """
+    blocks = profile.block_positions()
+    k = len(blocks)
+    for j, (color, _) in enumerate(profile.runs):
+        yield color, [blocks[(j + t) % k] for t in range(k)]
+        yield color, [blocks[(j - t) % k][::-1] for t in range(k)]
+
+
+def _runs_coloring(sizes) -> Coloring:
+    """The coloring whose runs have these sizes, starting with red."""
+    return Coloring(
+        "".join((RED if i % 2 == 0 else BLUE) * s for i, s in enumerate(sizes))
+    )
 
 
 def plane_matching(coloring: Coloring) -> Matching:
@@ -101,7 +135,7 @@ def balanced_fourblock_coloring(n: int) -> Coloring:
     if n < 2:
         raise OutOfRange("need n >= 2 for four nonempty blocks")
     lo, hi = n // 2, n - n // 2
-    return Coloring(RED * lo + BLUE * lo + RED * hi + BLUE * hi)
+    return _runs_coloring((lo, lo, hi, hi))
 
 
 @dataclass(frozen=True)
@@ -156,44 +190,6 @@ def h_value(n: int, r1: int, b1: int) -> FourBlockPlan:
     return FourBlockPlan(n, r1, b1, x_star, x, f(x))
 
 
-def crossing_family_join(
-    coloring: Coloring,
-    x_arc: tuple[int, ...] | list[int],
-    y_arc: tuple[int, ...] | list[int],
-) -> tuple[tuple[int, int], ...]:
-    """Match two disjoint arcs index-by-index, in matching orientation.
-
-    Joining the i-th point of one arc to the i-th point of the other
-    (both read in the same rotational direction) makes the resulting
-    edges pairwise crossing whenever the arcs are disjoint.
-    """
-    if len(x_arc) != len(y_arc):
-        raise SizeMismatch(f"arc sizes {len(x_arc)} vs {len(y_arc)}")
-    for a, b in zip(x_arc, y_arc):
-        if coloring.color(a) == coloring.color(b):
-            raise ColorMismatch(f"join would pair {a} and {b}, same color")
-    return tuple(zip(x_arc, y_arc))
-
-
-def _fourblock_frames(profile: BlockProfile):
-    """The four relabelings of a 4-block profile that start at a red run.
-
-    Each frame lists the four blocks as position tuples in a consistent
-    rotational direction (reversed tuples for the reflected frames), so
-    downstream joins can speak of the first or last points of a block
-    without caring about the original orientation.
-    """
-    blocks = profile.block_positions()
-    red_idx = [i for i, (color, _) in enumerate(profile.runs) if color == RED]
-    for j in red_idx:
-        for direction in (1, -1):
-            frame = []
-            for t in range(4):
-                positions = blocks[(j + t * direction) % 4]
-                frame.append(positions if direction == 1 else positions[::-1])
-            yield frame
-
-
 def fourblock_max_matching(profile: BlockProfile) -> tuple[Matching, int]:
     """Maximum-crossing matching on a coloring with exactly four blocks.
 
@@ -205,23 +201,21 @@ def fourblock_max_matching(profile: BlockProfile) -> tuple[Matching, int]:
         raise NotFourBlock(f"{len(profile.runs)} runs, need exactly 4")
     coloring = profile.to_coloring()
     n = coloring.n
-    frame = None
-    for candidate in _fourblock_frames(profile):
-        if 2 * len(candidate[0]) <= n and 2 * len(candidate[1]) <= n:
-            frame = candidate
-            break
-    assert frame is not None, "some relabeling has both lead blocks <= n/2"
-    a1, a2, a3, a4 = frame
+    # some red-led frame has both lead blocks <= n/2
+    a1, a2, a3, a4 = next(
+        blocks for color, blocks in _frames(profile)
+        if color == RED and 2 * len(blocks[0]) <= n and 2 * len(blocks[1]) <= n
+    )
     r1, b1, r2 = len(a1), len(a2), len(a3)
     plan = h_value(n, r1, b1)
     x = plan.x
-    pairs = []
-    pairs += crossing_family_join(coloring, a1[:x], a2[b1 - x:])
-    pairs += crossing_family_join(coloring, a1[x:], a4[:r1 - x])
-    pairs += crossing_family_join(coloring, a2[:b1 - x], a3[r2 - (b1 - x):])
-    pairs += crossing_family_join(coloring, a3[:n - r1 - b1 + x], a4[r1 - x:])
-    matching = Matching.from_pairs(pairs)
-    count = _crossing_count(matching.sorted_edges, coloring.size)
+    matching = Matching.from_pairs(_join((
+        (a1[:x], a2[b1 - x:]),
+        (a1[x:], a4[:r1 - x]),
+        (a2[:b1 - x], a3[r2 - (b1 - x):]),
+        (a3[:n - r1 - b1 + x], a4[r1 - x:]),
+    )))
+    count = crossing_number(coloring, matching)
     expected = comb(n, 2) - plan.h_value
     if count != expected:
         raise WitnessBelowBound(
@@ -263,19 +257,14 @@ def _sixblock_joins(blocks, m: int, y1: int, y2: int):
     frame order (alternating colors, sizes 2m+1+y1, 2m+1, y2, y1, 2m+1,
     2m+1+y2)."""
     b0, b1, b2, b3, b4, b5 = blocks
-    joins = [
+    return _join((
         (b0[:m], b1[m + 1:]),             # lead block into its neighbor
         (b0[m:m + y1], b3),               # middle of lead block across
         (b0[m + y1:], b5[:m + 1]),        # tail of lead block to far side
         (b2, b5[m + 1:m + 1 + y2]),
         (b4[:m], b5[m + 1 + y2:]),
         (b1[:m + 1], b4[m:]),
-    ]
-    pairs = []
-    for xs, ys in joins:
-        assert len(xs) == len(ys)
-        pairs += list(zip(xs, ys))
-    return pairs
+    ))
 
 
 def sixblock_sizes(m: int, y1: int, y2: int) -> tuple[int, ...]:
@@ -313,18 +302,10 @@ def sixblock_witness(m: int, y1: int, y2: int) -> tuple[Coloring, Matching]:
         raise OutOfRange(f"need m >= 0, got {m}")
     if y1 < 1 or y2 < 1:
         raise OutOfRange(f"need y1, y2 >= 1, got {y1}, {y2}")
-    sizes = sixblock_sizes(m, y1, y2)
-    colors = "".join(
-        (RED if i % 2 == 0 else BLUE) * s for i, s in enumerate(sizes)
-    )
-    coloring = Coloring(colors)
-    blocks = []
-    at = 0
-    for s in sizes:
-        blocks.append(tuple(range(at, at + s)))
-        at += s
+    coloring = _runs_coloring(sixblock_sizes(m, y1, y2))
+    blocks = block_profile(coloring).block_positions()
     matching = Matching.from_pairs(_sixblock_joins(blocks, m, y1, y2))
-    count = _crossing_count(matching.sorted_edges, coloring.size)
+    count = crossing_number(coloring, matching)
     expected = sixblock_crossing_count(m, y1, y2)
     if count != expected:
         raise WitnessBelowBound(
@@ -350,15 +331,10 @@ def _sixblock_frame(profile: BlockProfile):
     """
     if len(profile.runs) != 6:
         return None
-    blocks = profile.block_positions()
-    for j in range(6):
-        for direction in (1, -1):
-            frame = [blocks[(j + t * direction) % 6] for t in range(6)]
-            shape = _sixblock_shape([len(b) for b in frame])
-            if shape is not None:
-                if direction == -1:
-                    frame = [positions[::-1] for positions in frame]
-                return (frame, *shape)
+    for _, blocks in _frames(profile):
+        shape = _sixblock_shape([len(b) for b in blocks])
+        if shape is not None:
+            return (blocks, *shape)
     return None
 
 
@@ -427,13 +403,14 @@ def _group_partition_matching(coloring: Coloring, groups):
     """Match each arc to its antipode so same-colored bundles cross."""
     rt, rb, lb, lt = groups
     colors = coloring.colors
-    pairs = []
-    for x_arc, y_arc in ((rt, lb), (rb, lt)):
-        for color in (RED, BLUE):
-            xs = [p for p in x_arc if colors[p] == color]
-            ys = [p for p in y_arc if colors[p] != color]
-            pairs += crossing_family_join(coloring, xs, ys)
-    return pairs
+    return _join(
+        (
+            [p for p in x_arc if colors[p] == color],
+            [p for p in y_arc if colors[p] != color],
+        )
+        for x_arc, y_arc in ((rt, lb), (rb, lt))
+        for color in (RED, BLUE)
+    )
 
 
 def _balanced_cut_partitions(coloring: Coloring):
@@ -474,13 +451,13 @@ def _balanced_cut_partitions(coloring: Coloring):
 
 
 def _lemma3_candidates(coloring: Coloring):
-    """Candidate witness matchings, as pair tuples, in tie-break order."""
+    """Candidate witness matchings, as pair sequences, in tie-break order."""
     n = coloring.n
     if not antipodal_profile(coloring).s_positions:
         yield tuple((i, i + n) for i in range(n))
     else:
         for groups in _balanced_cut_partitions(coloring):
-            yield tuple(_group_partition_matching(coloring, groups))
+            yield _group_partition_matching(coloring, groups)
     blocks = block_profile(coloring)
     if len(blocks.runs) == 4:
         matching, _ = fourblock_max_matching(blocks)
@@ -488,7 +465,7 @@ def _lemma3_candidates(coloring: Coloring):
     fitted = _sixblock_frame(blocks)
     if fitted is not None:
         frame, m, y1, y2 = fitted
-        yield tuple(_sixblock_joins(frame, m, y1, y2))
+        yield _sixblock_joins(frame, m, y1, y2)
 
 
 def lemma3_witness(coloring: Coloring) -> tuple[Matching, int]:
@@ -505,8 +482,10 @@ def lemma3_witness(coloring: Coloring) -> tuple[Matching, int]:
     * exactly four blocks: the exact 4-block maximum construction;
     * six blocks fitting the special pattern: its dedicated witness.
 
-    If even the best candidate counts below ``balanced_fourblock_bound``,
-    a falsification alarm is raised.
+    Candidates are scored with the unvalidated ``_crossing_count``; the
+    winner alone is recounted by the validating ``crossing_number``, and
+    if it counts below ``balanced_fourblock_bound`` a falsification alarm
+    is raised.
     """
     best_pairs = None
     best_count = -1
@@ -515,10 +494,12 @@ def lemma3_witness(coloring: Coloring) -> tuple[Matching, int]:
         if count > best_count:
             best_pairs, best_count = pairs, count
     assert best_pairs is not None
+    matching = Matching.from_pairs(best_pairs)
+    count = crossing_number(coloring, matching)
     bound = balanced_fourblock_bound(coloring.n).value
-    if best_count < bound:
+    if count < bound:
         raise WitnessBelowBound(
-            f"best witness for {coloring} has {best_count} crossings, "
+            f"best witness for {coloring} has {count} crossings, "
             f"bound is {bound}"
         )
-    return Matching.from_pairs(best_pairs), best_count
+    return matching, count

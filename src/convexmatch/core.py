@@ -272,11 +272,20 @@ def canonicalize(coloring: Coloring) -> tuple[Coloring, Symmetry]:
     return Coloring(best), best_sym
 
 
+def _orbit_bases(colors: str) -> tuple[str, str, str, str]:
+    """The string, its reversal, its color swap and the swapped reversal.
+
+    The images of a color string under the symmetry group are exactly
+    the rotations of these four strings.
+    """
+    swapped = colors.translate(_SWAP)
+    return (colors, colors[::-1], swapped, swapped[::-1])
+
+
 def is_canonical(colors: str) -> bool:
     """Fast test that a color string equals its own canonical form."""
     size = len(colors)
-    swapped = colors.translate(_SWAP)
-    for base in (colors, colors[::-1], swapped, swapped[::-1]):
+    for base in _orbit_bases(colors):
         doubled = base + base
         for r in range(size):
             if doubled[r:r + size] < colors:

@@ -38,14 +38,6 @@ class OutOfRange(UsageError):
     """Numeric parameter outside its documented range."""
 
 
-class SizeMismatch(UsageError):
-    """Two arcs to be joined have different sizes."""
-
-
-class ColorMismatch(UsageError):
-    """Arc join would create a monochromatic edge."""
-
-
 class NotFourBlock(UsageError):
     """Coloring does not consist of exactly four blocks."""
 

@@ -48,7 +48,6 @@ from .core import (
     RED,
     Coloring,
     Matching,
-    crossing_number,
     is_canonical,
 )
 from .errors import (
@@ -56,7 +55,6 @@ from .errors import (
     OutOfRange,
     SizeLimitExceeded,
     SweepMismatch,
-    WitnessBelowBound,
 )
 
 DEFAULT_SEARCH_LIMIT = 10
@@ -360,19 +358,18 @@ def enumerate_colorings(n: int) -> list[Coloring]:
 def _sweep_job(args: tuple[str, int, int | None]) -> tuple[str, int | None]:
     """How one orbit was settled, and its maximum if at most ``bound``.
 
-    A Lemma-3 witness recounted above the bound settles the orbit as
+    A Lemma-3 witness whose count, as ``lemma3_witness`` checked and
+    returned it, exceeds the bound settles the orbit as
     ``("witness", None)`` without a search.  Otherwise the capped search
     gives ``("search", value)``, with None for a maximum above the
     bound, or ``("budget", None)`` once it runs out of nodes.  A witness
-    below the bound settles nothing, so the search still decides.
+    below the bound is a falsification alarm, raised by
+    ``lemma3_witness`` and not caught here.
     """
     colors, bound, max_nodes = args
     coloring = Coloring(colors)
-    try:
-        witness, _ = lemma3_witness(coloring)
-    except WitnessBelowBound:
-        witness = None
-    if witness is not None and crossing_number(coloring, witness) > bound:
+    _, count = lemma3_witness(coloring)
+    if count > bound:
         return "witness", None
     try:
         result = _max_search(_Tables(coloring), bound, _NodeBudget(max_nodes))
@@ -392,10 +389,10 @@ def minmax_sweep(
     cross-checks the value against ``balanced_fourblock_bound``; any
     disagreement raises a falsification alarm.  Only an orbit whose
     maximum is at most the bound can attain the minimum, so each orbit
-    is first offered its ``lemma3_witness``: a witness recounted by
-    ``crossing_number`` above the bound drops the orbit with no search.
-    The rest get the exact branch and bound, aborted once a matching
-    beats the bound.  ``budget.max_nodes`` caps each searched orbit
+    is first offered its ``lemma3_witness``: a witness counting above the
+    bound drops the orbit with no search, and one counting below it
+    raises ``WitnessBelowBound``.  The rest get the exact branch and
+    bound, aborted once a matching beats the bound.  ``budget.max_nodes`` caps each searched orbit
     (witness-settled orbits spend no nodes); running out raises
     ``BudgetExceeded``.  ``budget.jobs`` above 1, clamped to the CPU
     count, maps the same per-orbit job over a process pool, so results

@@ -34,7 +34,7 @@ def test_parse_coloring_compact_and_runlength():
 
 
 def test_parse_coloring_rejects_junk():
-    for bad in ("", "2X", "R2B", "2R2", "RB2R", "12"):
+    for bad in ("", "2X", "R2B", "2R2", "RB2R", "12", "1R0B1B", "0R0B"):
         with pytest.raises(ParseError):
             parse_coloring(bad)
 
@@ -117,6 +117,14 @@ def test_out_writes_report(tmp_path, capsys):
     main(["bound", "--n", "8", "--out", str(target), "--format", "json"])
     capsys.readouterr()
     assert json.loads(target.read_text())["result"]["value"] == 20
+
+
+def test_out_to_missing_directory_is_io_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert main(["spectrum", "--coloring", "RRBB", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("io error:")
+    assert captured.out == ""
 
 
 # ------------------------------------------------------------- subcommands

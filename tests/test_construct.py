@@ -17,7 +17,6 @@ from convexmatch import (
     balanced_fourblock_coloring,
     block_profile,
     canonicalize,
-    crossing_family_join,
     crossing_number,
     fourblock_max_matching,
     group_partition,
@@ -34,12 +33,10 @@ from convexmatch.construct import (
 )
 from convexmatch.core import all_symmetries, antipodal_profile, edges_cross
 from convexmatch.errors import (
-    ColorMismatch,
     EmptyAntipodalCore,
     NotFourBlock,
     OddN,
     OutOfRange,
-    SizeMismatch,
 )
 
 
@@ -181,17 +178,6 @@ def test_balanced_fourblock_coloring():
 
 
 # ------------------------------------------------------------ four-block
-
-
-def test_crossing_family_join():
-    col = Coloring("RRRBBB")
-    pairs = crossing_family_join(col, [0, 1, 2], [3, 4, 5])
-    assert pairs == ((0, 3), (1, 4), (2, 5))
-    assert oracle.count_crossings(pairs) == 3  # pairwise crossing
-    with pytest.raises(SizeMismatch):
-        crossing_family_join(col, [0, 1], [3])
-    with pytest.raises(ColorMismatch):
-        crossing_family_join(col, [0], [1])
 
 
 def test_fourblock_frozen_profiles():

@@ -16,9 +16,11 @@ from convexmatch import (
     find_with_k,
     max_crossing,
     minmax_sweep,
+    plane_matching,
     spectrum,
 )
-from convexmatch import search
+from convexmatch import construct, search
+from convexmatch.cli import main
 from convexmatch.core import edges_cross
 from convexmatch.errors import (
     BudgetExceeded,
@@ -210,14 +212,25 @@ def test_sweep_job_equals_capped_search():
 
 
 def test_sweep_without_witnesses_is_unchanged(monkeypatch):
-    def below(coloring):
-        raise WitnessBelowBound("disabled")
+    def settles_nothing(coloring):
+        return plane_matching(coloring), 0
 
     screened = sweep(6)
-    monkeypatch.setattr(search, "lemma3_witness", below)
+    monkeypatch.setattr(search, "lemma3_witness", settles_nothing)
     value, minimizers, settled = sweep(6)
     assert (value, minimizers) == screened[:2]
     assert settled == {"witness": 0, "search": len(enumerate_colorings(6))}
+
+
+def test_witness_below_bound_stops_the_sweep(monkeypatch, capsys):
+    # a witness below the bound is an alarm, not an orbit left to search
+    true_bound = balanced_fourblock_bound(5)
+    fake = replace(true_bound, value=true_bound.value + 1)
+    monkeypatch.setattr(construct, "balanced_fourblock_bound", lambda n: fake)
+    with pytest.raises(WitnessBelowBound):
+        minmax_sweep(5)
+    assert main(["sweep", "--n", "5"]) == 3
+    assert capsys.readouterr().err.startswith("FALSIFICATION ALARM:")
 
 
 def test_sweep_mismatch_when_bound_is_off(monkeypatch):
