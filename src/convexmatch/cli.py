@@ -47,10 +47,11 @@ from .errors import (
     FalsificationAlarm,
     InvalidMatching,
     NotSixBlockPattern,
+    OutOfRange,
     ParseError,
     UsageError,
 )
-from .search import SearchBudget, enumerate_colorings, find_with_k, max_crossing, minmax_sweep, spectrum
+from .search import SearchBudget, _check_size, enumerate_colorings, find_with_k, max_crossing, minmax_sweep, spectrum
 
 _RUN_TOKEN = re.compile(r"(\d+)([RBrb])")
 
@@ -88,7 +89,7 @@ def format_matching(matching: Matching) -> str:
 
 
 def parse_matching(text: str) -> Matching:
-    """Matching from its text form "0-5,1-4"."""
+    """Matching from its text form "0-5,1-4"; no edge may repeat."""
     pairs = []
     for token in text.split(","):
         token = token.strip()
@@ -96,7 +97,10 @@ def parse_matching(text: str) -> Matching:
             raise ParseError(f"unreadable edge {token!r}")
         a, b = token.split("-")
         pairs.append((int(a), int(b)))
-    return Matching.from_pairs(pairs)
+    matching = Matching.from_pairs(pairs)
+    if len(matching) != len(pairs):
+        raise ParseError(f"an edge is given twice in {text!r}")
+    return matching
 
 
 def _matching_payload(matching: Matching) -> dict:
@@ -220,8 +224,11 @@ def atlas(n: int, out_path: str, budget: SearchBudget | None = None) -> dict:
     Progress is journaled per canonical coloring next to the output file,
     so an interrupted run resumes where it stopped, even after a torn
     last write; the journal is removed once the CSV and sidecar have
-    been written atomically.
+    been written atomically.  An n above the search limit is rejected
+    before any file is touched.
     """
+    budget = budget or SearchBudget()
+    _check_size(n, budget)
     journal_path = out_path + ".journal"
     done = _read_journal(journal_path) if os.path.exists(journal_path) else {}
     reps = enumerate_colorings(n)
@@ -342,6 +349,9 @@ def _cmd_max(ns) -> tuple[dict, int]:
 
 
 def _cmd_bound(ns) -> tuple[dict, int]:
+    # the value has about twice n's digits; str() prints at most 4300
+    if ns.n >= 10**2000:
+        raise OutOfRange("n must be below 10**2000 to be reported")
     breakdown = balanced_fourblock_bound(ns.n)
     return {
         "n": breakdown.n,

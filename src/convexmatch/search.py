@@ -9,14 +9,18 @@ order.  ``spectrum``, ``max_crossing``, ``find_with_k`` and the sweep
 all run one kernel, ``_dfs``, and differ only in what they want.  The
 kernel carries a bitmask of the crossing counts still wanted (every
 count not yet found, every count above the incumbent maximum, or just
-k) and each search's leaf callback shrinks it.  Crossing counts are
+k) and each search's leaf callback shrinks it.  A leaf hands the
+callback its count and its edge mask, bit i * n + j set when red i
+takes blue j, from which ``_Tables.matching`` decodes the witness; a
+search that keeps an incumbent keeps that int.  Crossing counts are
 maintained incrementally through a precomputed crossing-mask table (one
 machine-word bitmask per candidate edge), and a subtree is cut when no
 wanted count fits its completion interval: a partial assignment with d
 edges, c crossings so far, and r = n - d reds left can finish anywhere
 in [c, c + C(r,2) + r*d] and nowhere else.  The search stops as soon as
 nothing is left to want, so ``max_nodes`` counts only the nodes visited
-before then.
+before then; the kernel counts it down as a plain int and raises
+``BudgetExceeded`` on the node after the last one allowed.
 
 ``minmax_sweep`` closes the loop with the closed-form bound: it computes
 the minimum over all colorings (one canonical representative per
@@ -30,7 +34,9 @@ of at most ``os.cpu_count()`` workers; there is no second path.
 
 Default size limits keep accidental combinatorial explosions out of
 interactive use; raise them through ``SearchBudget`` or the environment
-variables ``CONVEXMATCH_MAX_N`` and ``CONVEXMATCH_SWEEP_MAX_N``.
+variables ``CONVEXMATCH_MAX_N`` and ``CONVEXMATCH_SWEEP_MAX_N``.  One
+gate, ``_check_size``, applies them to the searches, the sweep and the
+CLI's atlas.
 """
 
 from __future__ import annotations
@@ -84,37 +90,29 @@ class SearchBudget:
             raise OutOfRange(f"max_n={self.max_n} is below 1")
 
 
-def _env_limit(name: str, default: int) -> int:
-    text = os.environ.get(name)
-    if text is None:
-        return default
-    try:
-        value = int(text)
-    except ValueError:
-        raise OutOfRange(f"{name}={text!r} is not an integer") from None
-    if value < 1:
-        raise OutOfRange(f"{name}={value} is below 1")
-    return value
+_LIMITS = {
+    "search": ("CONVEXMATCH_MAX_N", DEFAULT_SEARCH_LIMIT),
+    "sweep": ("CONVEXMATCH_SWEEP_MAX_N", DEFAULT_SWEEP_LIMIT),
+}
 
 
-def _search_limit(budget: SearchBudget | None) -> int:
-    if budget is not None and budget.max_n is not None:
-        return budget.max_n
-    return _env_limit("CONVEXMATCH_MAX_N", DEFAULT_SEARCH_LIMIT)
-
-
-def _sweep_limit(budget: SearchBudget | None) -> int:
-    if budget is not None and budget.max_n is not None:
-        return budget.max_n
-    return _env_limit("CONVEXMATCH_SWEEP_MAX_N", DEFAULT_SWEEP_LIMIT)
-
-
-def _check_size(coloring: Coloring, budget: SearchBudget | None):
-    limit = _search_limit(budget)
-    if coloring.n > limit:
+def _check_size(n: int, budget: SearchBudget, kind: str = "search"):
+    """Reject an n above the ``kind`` limit: ``budget.max_n`` if set,
+    else the limit's environment variable, else its default."""
+    name, limit = _LIMITS[kind]
+    if budget.max_n is not None:
+        limit = budget.max_n
+    elif (text := os.environ.get(name)) is not None:
+        try:
+            limit = int(text)
+        except ValueError:
+            raise OutOfRange(f"{name}={text!r} is not an integer") from None
+        if limit < 1:
+            raise OutOfRange(f"{name}={limit} is below 1")
+    if n > limit:
         raise SizeLimitExceeded(
-            f"n={coloring.n} exceeds search limit {limit}; raise it via "
-            "SearchBudget(max_n=...) or CONVEXMATCH_MAX_N"
+            f"n={n} exceeds {kind} limit {limit}; raise it via "
+            f"SearchBudget(max_n=...) or {name}"
         )
 
 
@@ -151,7 +149,6 @@ class _Tables:
         reds = self.reds = coloring.positions_of(RED)
         blues = self.blues = coloring.positions_of(BLUE)
         n = self.n = len(reds)
-        self.edges = [(r, b) for r in reds for b in blues]
         # rows[k] has the lowest bit of each of the first k red rows, so
         # row_bits * (rows[c] - rows[a]) copies row_bits into rows a..c-1
         rows = [0]
@@ -178,61 +175,55 @@ class _Tables:
             for d in range(n + 1)
         ]
 
-    def matching(self, blue_of_red: list[int]) -> Matching:
+    def matching(self, chosen: int) -> Matching:
+        """The matching whose edge mask is ``chosen``."""
+        n = self.n
         return Matching.from_pairs(
-            (self.reds[i], self.blues[j]) for i, j in enumerate(blue_of_red)
+            (self.reds[e // n], self.blues[e % n])
+            for e in range(n * n) if chosen >> e & 1
         )
-
-
-class _NodeBudget:
-    def __init__(self, max_nodes: int | None):
-        self.left = max_nodes
-
-    def spend(self):
-        if self.left is not None:
-            if self.left == 0:
-                raise BudgetExceeded("node budget exhausted")
-            self.left -= 1
 
 
 def _dfs(
     tables: _Tables,
     wanted: int,
-    nodes: _NodeBudget,
-    hit: Callable[[int, list[int]], int],
+    max_nodes: int | None,
+    hit: Callable[[int, int], int],
 ) -> None:
     """Depth-first search for matchings whose crossing counts are wanted.
 
-    ``wanted`` is a bitmask of the counts still worth reaching.  Each
-    visited node spends one of ``nodes``; a node whose completion
+    ``wanted`` is a bitmask of the counts still worth reaching.  The
+    search visits at most ``max_nodes`` nodes (None = unlimited) and
+    raises ``BudgetExceeded`` on the next one; a node whose completion
     interval holds no wanted count is cut.  A leaf with a wanted count
-    calls ``hit(count, assigned)`` (``assigned[i]`` is the blue index of
-    red i, valid only during the call), which returns the new mask; the
-    search stops once that is 0.
+    calls ``hit(count, chosen)``, where ``chosen`` is the leaf's edge
+    mask (bit ``i * n + j`` set when red i takes blue j), and ``hit``
+    returns the new wanted mask; the search stops once that is 0.
     """
     n = tables.n
     masks = tables.masks
     spans = tables.spans
-    spend = nodes.spend
-    assigned: list[int] = []
+    # -1 counts down without ever reaching 0: no budget
+    left = -1 if max_nodes is None else max_nodes
 
     def dive(depth: int, used: int, chosen: int, current: int,
              wanted: int) -> int:
-        spend()
+        nonlocal left
+        if not left:
+            raise BudgetExceeded("node budget exhausted")
+        left -= 1
         if not wanted >> current & spans[depth]:
             return wanted
         if depth == n:
-            return hit(current, assigned)
+            return hit(current, chosen)
         base = depth * n
         for j in range(n):
             jbit = 1 << j
             if used & jbit:
                 continue
             e = base + j
-            assigned.append(j)
             wanted = dive(depth + 1, used | jbit, chosen | (1 << e),
                           current + (masks[e] & chosen).bit_count(), wanted)
-            assigned.pop()
             if not wanted:
                 break
         return wanted
@@ -248,20 +239,20 @@ def spectrum(coloring: Coloring, budget: SearchBudget | None = None) -> Spectrum
     found.  Exhausting the node budget raises with the incomplete
     spectrum attached.
     """
-    _check_size(coloring, budget)
+    budget = budget or SearchBudget()
+    _check_size(coloring.n, budget)
     tables = _Tables(coloring)
-    nodes = _NodeBudget(budget.max_nodes if budget else None)
     unseen = tables.spans[0]
     witnesses: dict[int, Matching] = {}
 
-    def hit(count: int, assigned: list[int]) -> int:
+    def hit(count: int, chosen: int) -> int:
         nonlocal unseen
-        witnesses[count] = tables.matching(assigned)
+        witnesses[count] = tables.matching(chosen)
         unseen &= ~(1 << count)
         return unseen
 
     try:
-        _dfs(tables, unseen, nodes, hit)
+        _dfs(tables, unseen, budget.max_nodes, hit)
     except BudgetExceeded as out:
         out.partial = Spectrum(
             tables.n, tuple(sorted(witnesses)), witnesses, complete=False
@@ -271,41 +262,41 @@ def spectrum(coloring: Coloring, budget: SearchBudget | None = None) -> Spectrum
 
 
 def _max_search(
-    tables: _Tables, cap: int | None, nodes: _NodeBudget
-) -> tuple[int, list[int]] | None:
+    tables: _Tables, cap: int | None, max_nodes: int | None
+) -> tuple[int, int] | None:
     """Exact maximum via branch and bound, or None once it exceeds ``cap``.
 
     Only counts above the incumbent are wanted, so subtrees that cannot
     beat it are cut; with a cap, the search stops as soon as any
     matching surpasses it, which is all a min-over-orbits caller needs
-    to discard the orbit.
+    to discard the orbit.  The maximum comes with its witness's edge
+    mask.
     """
     every = tables.spans[0]
-    best = -1
-    best_assigned: list[int] = []
+    best = best_chosen = -1
 
-    def hit(count: int, assigned: list[int]) -> int:
-        nonlocal best, best_assigned
-        best, best_assigned = count, assigned.copy()
+    def hit(count: int, chosen: int) -> int:
+        nonlocal best, best_chosen
+        best, best_chosen = count, chosen
         if cap is not None and count > cap:
             return 0
         return every >> (count + 1) << (count + 1)
 
-    _dfs(tables, every, nodes, hit)
+    _dfs(tables, every, max_nodes, hit)
     if cap is not None and best > cap:
         return None
-    return best, best_assigned
+    return best, best_chosen
 
 
 def max_crossing(
     coloring: Coloring, budget: SearchBudget | None = None
 ) -> tuple[int, Matching]:
     """Exhaustive maximum crossing number and its first witness."""
-    _check_size(coloring, budget)
+    budget = budget or SearchBudget()
+    _check_size(coloring.n, budget)
     tables = _Tables(coloring)
-    nodes = _NodeBudget(budget.max_nodes if budget else None)
-    value, assigned = _max_search(tables, None, nodes)
-    return value, tables.matching(assigned)
+    value, chosen = _max_search(tables, None, budget.max_nodes)
+    return value, tables.matching(chosen)
 
 
 def find_with_k(
@@ -316,21 +307,21 @@ def find_with_k(
     None is a verified answer: the pruned search is exhaustive, so it
     proves no matching of the coloring has exactly k crossings.
     """
-    _check_size(coloring, budget)
+    budget = budget or SearchBudget()
+    _check_size(coloring.n, budget)
     if k < 0:
         return None
     tables = _Tables(coloring)
-    nodes = _NodeBudget(budget.max_nodes if budget else None)
     found: Matching | None = None
 
-    def hit(count: int, assigned: list[int]) -> int:
+    def hit(count: int, chosen: int) -> int:
         nonlocal found
-        found = tables.matching(assigned)
+        found = tables.matching(chosen)
         return 0
 
     # a k above C(n,2) is wanted by nobody; the root alone is visited
     wanted = 1 << k if k <= comb(tables.n, 2) else 0
-    _dfs(tables, wanted, nodes, hit)
+    _dfs(tables, wanted, budget.max_nodes, hit)
     return found
 
 
@@ -372,7 +363,7 @@ def _sweep_job(args: tuple[str, int, int | None]) -> tuple[str, int | None]:
     if count > bound:
         return "witness", None
     try:
-        result = _max_search(_Tables(coloring), bound, _NodeBudget(max_nodes))
+        result = _max_search(_Tables(coloring), bound, max_nodes)
     except BudgetExceeded:
         return "budget", None
     return "search", None if result is None else result[0]
@@ -399,17 +390,12 @@ def minmax_sweep(
     do not depend on the worker count.  A ``settled`` dict receives how
     many orbits the witness and the search settled.
     """
-    limit = _sweep_limit(budget)
-    if n > limit:
-        raise SizeLimitExceeded(
-            f"n={n} exceeds sweep limit {limit}; raise it via "
-            "SearchBudget(max_n=...) or CONVEXMATCH_SWEEP_MAX_N"
-        )
+    budget = budget or SearchBudget()
+    _check_size(n, budget, "sweep")
     bound = balanced_fourblock_bound(n).value
     reps = enumerate_colorings(n)
-    max_nodes = budget.max_nodes if budget else None
-    jobs = min(budget.jobs if budget else 1, os.cpu_count() or 1)
-    args = [(c.colors, bound, max_nodes) for c in reps]
+    jobs = min(budget.jobs, os.cpu_count() or 1)
+    args = [(c.colors, bound, budget.max_nodes) for c in reps]
     if jobs > 1:
         from multiprocessing import Pool
 

@@ -44,8 +44,9 @@ def test_matching_text_roundtrip():
     text = format_matching(m)
     assert text == "0-4,1-3,2-5"
     assert parse_matching(text).sorted_edges == m.sorted_edges
-    with pytest.raises(ParseError):
-        parse_matching("0-4,nope")
+    for bad in ("0-4,nope", "0-1,0-1", "0-2,1-3,2-0"):
+        with pytest.raises(ParseError):
+            parse_matching(bad)
 
 
 # ------------------------------------------------------------- exit codes
@@ -57,6 +58,7 @@ def test_exit_codes(capsys):
     assert main(["construct", "alternating", "--n", "3"]) == 2
     assert main(["sweep", "--n", "9"]) == 2
     assert main(["bound", "--n", "not-a-number"]) == 2
+    assert main(["bound", "--n", "9" * 3000]) == 2
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
 
@@ -264,6 +266,14 @@ def test_atlas_golden_n2(tmp_path, capsys):
 def test_atlas_requires_out(capsys):
     assert main(["atlas", "--n", "2"]) == 2
     capsys.readouterr()
+
+
+def test_atlas_rejects_oversized_n_before_writing(tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.setenv("CONVEXMATCH_MAX_N", "3")
+    assert main(["atlas", "--n", "4", "--out", str(tmp_path / "a.csv")]) == 2
+    assert "exceeds search limit 3" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_atlas_resumes_from_journal(tmp_path):
