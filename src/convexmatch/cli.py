@@ -33,19 +33,11 @@ from .construct import (
     sixblock_crossing_count,
     sixblock_witness,
 )
-from .core import (
-    Coloring,
-    Matching,
-    _orbit_bases,
-    block_profile,
-    crossing_number,
-    validate,
-)
+from .core import Coloring, Matching, _images, block_profile, crossing_number
 from .errors import (
     CorruptJournal,
     DomainNegative,
     FalsificationAlarm,
-    InvalidMatching,
     NotSixBlockPattern,
     OutOfRange,
     ParseError,
@@ -63,25 +55,32 @@ SVG_RED = "#cc3333"
 SVG_BLUE = "#3366cc"
 
 
-def parse_coloring(text: str) -> Coloring:
-    """Coloring from compact ("RBRB") or run-length ("2R 2B") text."""
+def parse_coloring(text: str, budget: SearchBudget | None = None) -> Coloring:
+    """Coloring from compact ("RBRB") or run-length ("2R 2B") text.
+
+    Given a search budget, run-length text is checked against the search
+    size gate before it is expanded, so a huge run count is rejected
+    without building the string.
+    """
     stripped = "".join(text.split())
     if not stripped:
         raise ParseError("empty coloring text")
     if set(stripped.upper()) <= {"R", "B"}:
         return Coloring(stripped)
-    parts = []
+    runs = []
     consumed = 0
     for match in _RUN_TOKEN.finditer(stripped):
         if match.start() != consumed:
             raise ParseError(f"unreadable coloring text {text!r}")
         if int(match.group(1)) == 0:
             raise ParseError(f"zero-length run in coloring text {text!r}")
-        parts.append(match.group(2).upper() * int(match.group(1)))
+        runs.append((int(match.group(1)), match.group(2).upper()))
         consumed = match.end()
     if consumed != len(stripped):
         raise ParseError(f"unreadable coloring text {text!r}")
-    return Coloring("".join(parts))
+    if budget is not None:
+        _check_size(sum(count for count, _ in runs) // 2, budget)
+    return Coloring("".join(color * count for count, color in runs))
 
 
 def format_matching(matching: Matching) -> str:
@@ -116,11 +115,8 @@ def render_svg(
     """SVG picture: points on a circle, position 0 on top, clockwise.
 
     The styling is fixed so identical inputs yield byte-identical files.
-    The matching is validated before anything is written.
+    ``crossing_number`` validates the matching before anything is written.
     """
-    problems = validate(coloring, matching)
-    if problems:
-        raise InvalidMatching("; ".join(problems))
     count = crossing_number(coloring, matching)
     size = coloring.size
 
@@ -187,10 +183,12 @@ ATLAS_HEADER = (
 def _read_journal(path: str) -> dict[str, dict]:
     """Rows of an atlas journal, keyed by coloring.
 
-    A write cut short leaves a last line that is unreadable or lacks its
-    newline.  That line is dropped and the file truncated to the end of
-    the last complete line, so the next row starts on a line of its own.
-    An unreadable line before the last one is corruption and raises.
+    A line is a row only when it is a JSON object whose keys are exactly
+    ``ATLAS_HEADER`` and whose coloring is a string.  A write cut short
+    leaves a last line that is not a row or lacks its newline.  That
+    line is dropped and the file truncated to the end of the last
+    complete line, so the next row starts on a line of its own.  Any
+    earlier line that is not a row is corruption and raises.
     """
     done: dict[str, dict] = {}
     with open(path, "rb") as handle:
@@ -201,16 +199,18 @@ def _read_journal(path: str) -> dict[str, dict]:
         if line.strip():
             try:
                 row = json.loads(line)
-                key = row["coloring"]
-            except (ValueError, KeyError, TypeError):
+            except ValueError:
+                row = None
+            if not (isinstance(row, dict) and row.keys() == set(ATLAS_HEADER)
+                    and isinstance(row["coloring"], str)):
                 if not last:
                     raise CorruptJournal(
                         f"{path} line {number} is not a journal row"
-                    ) from None
+                    )
                 break
             if last and not line.endswith(b"\n"):
                 break
-            done[key] = row
+            done[row["coloring"]] = row
         complete += len(line)
     if complete < sum(len(line) for line in lines):
         with open(path, "r+b") as handle:
@@ -218,14 +218,24 @@ def _read_journal(path: str) -> dict[str, dict]:
     return done
 
 
+def _replace(path: str, text: str):
+    """Write the file through a temporary sibling, so it appears whole."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    os.replace(tmp, path)
+
+
 def atlas(n: int, out_path: str, budget: SearchBudget | None = None) -> dict:
     """Spectrum atlas over all orbits: CSV rows plus a JSON summary.
 
-    Progress is journaled per canonical coloring next to the output file,
-    so an interrupted run resumes where it stopped, even after a torn
-    last write; the journal is removed once the CSV and sidecar have
-    been written atomically.  An n above the search limit is rejected
-    before any file is touched.
+    Each orbit's size is the number of distinct images in the one scan
+    of its canonical coloring under the symmetry group.  Progress is
+    journaled per canonical coloring next to the output file, so an
+    interrupted run resumes where it stopped, even after a torn last
+    write; the journal is removed once the CSV and sidecar have been
+    written atomically.  An n above the search limit is rejected before
+    any file is touched.
     """
     budget = budget or SearchBudget()
     _check_size(n, budget)
@@ -236,48 +246,28 @@ def atlas(n: int, out_path: str, budget: SearchBudget | None = None) -> dict:
         for rep in reps:
             if rep.colors in done:
                 continue
-            spec = spectrum(rep, budget)
-            orbit = {
-                base[r:] + base[:r]
-                for base in _orbit_bases(rep.colors)
-                for r in range(rep.size)
-            }
-            low = spec.achievable[0]
-            high = spec.achievable[-1]
-            row = {
-                "n": n,
-                "coloring": rep.colors,
-                "orbit_size": len(orbit),
-                "max_crossings": high,
-                "spectrum_min": low,
-                "spectrum_max": high,
-                "missing_values": [
-                    v for v in range(low, high + 1)
-                    if v not in set(spec.achievable)
-                ],
-            }
+            achievable = spectrum(rep, budget).achievable
+            low = achievable[0]
+            high = achievable[-1]
+            missing = [v for v in range(low, high + 1) if v not in achievable]
+            row = dict(zip(ATLAS_HEADER, (
+                n, rep.colors, len(set(_images(rep.colors))), high, low,
+                high, missing,
+            )))
             journal.write(json.dumps(row, sort_keys=True) + "\n")
             journal.flush()
             done[rep.colors] = row
 
     rows = [done[rep.colors] for rep in reps]
-    tmp = out_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(ATLAS_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["n"],
-                    row["coloring"],
-                    row["orbit_size"],
-                    row["max_crossings"],
-                    row["spectrum_min"],
-                    row["spectrum_max"],
-                    ";".join(str(v) for v in row["missing_values"]),
-                ]
-            )
-    os.replace(tmp, out_path)
+    table = io.StringIO()
+    writer = csv.DictWriter(table, ATLAS_HEADER)
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({
+            **row,
+            "missing_values": ";".join(map(str, row["missing_values"])),
+        })
+    _replace(out_path, table.getvalue())
 
     min_max = min(row["max_crossings"] for row in rows)
     summary = {
@@ -291,11 +281,7 @@ def atlas(n: int, out_path: str, budget: SearchBudget | None = None) -> dict:
         "csv": out_path,
     }
     sidecar = out_path + ".json"
-    tmp = sidecar + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, sidecar)
+    _replace(sidecar, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     os.remove(journal_path)
     summary["sidecar"] = sidecar
     return summary
@@ -324,8 +310,9 @@ def _parse_blocks(text: str, expected: int) -> list[int]:
 
 
 def _cmd_spectrum(ns) -> tuple[dict, int]:
-    coloring = parse_coloring(ns.coloring)
-    spec = spectrum(coloring, _budget(ns))
+    budget = _budget(ns)
+    coloring = parse_coloring(ns.coloring, budget)
+    spec = spectrum(coloring, budget)
     result = {
         "coloring": coloring.colors,
         "n": coloring.n,
@@ -339,8 +326,9 @@ def _cmd_spectrum(ns) -> tuple[dict, int]:
 
 
 def _cmd_max(ns) -> tuple[dict, int]:
-    coloring = parse_coloring(ns.coloring)
-    count, matching = max_crossing(coloring, _budget(ns))
+    budget = _budget(ns)
+    coloring = parse_coloring(ns.coloring, budget)
+    count, matching = max_crossing(coloring, budget)
     return {
         "coloring": coloring.colors,
         "count": count,
@@ -362,8 +350,9 @@ def _cmd_bound(ns) -> tuple[dict, int]:
 
 
 def _cmd_find(ns) -> tuple[dict, int]:
-    coloring = parse_coloring(ns.coloring)
-    matching = find_with_k(coloring, ns.k, _budget(ns))
+    budget = _budget(ns)
+    coloring = parse_coloring(ns.coloring, budget)
+    matching = find_with_k(coloring, ns.k, budget)
     if matching is None:
         return {
             "coloring": coloring.colors,
@@ -466,29 +455,6 @@ def _cmd_render(ns) -> tuple[dict, int]:
     }, 0
 
 
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "max": _cmd_max,
-    "bound": _cmd_bound,
-    "find": _cmd_find,
-    "construct": _cmd_construct,
-    "compose": _cmd_compose,
-    "sweep": _cmd_sweep,
-    "atlas": _cmd_atlas,
-    "render": _cmd_render,
-}
-
-
-def _input_echo(ns) -> dict:
-    echo = {}
-    for key in ("coloring", "n", "k", "blocks", "kind", "matching", "jobs",
-                "max_nodes", "out"):
-        value = getattr(ns, key, None)
-        if value is not None:
-            echo[key] = value
-    return echo
-
-
 def _flatten(value) -> str:
     if isinstance(value, dict):
         if "text" in value:
@@ -536,26 +502,31 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="write the report (or artifact) here")
 
     sp = sub.add_parser("spectrum", help="all achievable crossing numbers")
+    sp.set_defaults(run=_cmd_spectrum)
     sp.add_argument("--coloring", required=True)
     sp.add_argument("--max-nodes", type=int, dest="max_nodes")
     common(sp)
 
     sp = sub.add_parser("max", help="exhaustive maximum crossing number")
+    sp.set_defaults(run=_cmd_max)
     sp.add_argument("--coloring", required=True)
     sp.add_argument("--max-nodes", type=int, dest="max_nodes")
     common(sp)
 
     sp = sub.add_parser("bound", help="closed-form min-max crossing bound")
+    sp.set_defaults(run=_cmd_bound)
     sp.add_argument("--n", type=int, required=True)
     common(sp)
 
     sp = sub.add_parser("find", help="matching with exactly k crossings")
+    sp.set_defaults(run=_cmd_find)
     sp.add_argument("--coloring", required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--max-nodes", type=int, dest="max_nodes")
     common(sp)
 
     sp = sub.add_parser("construct", help="named matching constructions")
+    sp.set_defaults(run=_cmd_construct)
     kinds = sp.add_subparsers(dest="kind", required=True)
     k = kinds.add_parser("alternating", help="maximum on alternating colors")
     k.add_argument("--n", type=int, required=True)
@@ -576,21 +547,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compose", help="matching with exactly k crossings "
                                         "via 14-point windows")
+    sp.set_defaults(run=_cmd_compose)
     sp.add_argument("--coloring", required=True)
     sp.add_argument("--k", type=int, required=True)
     common(sp)
 
     sp = sub.add_parser("sweep", help="min over orbits of max crossings")
+    sp.set_defaults(run=_cmd_sweep)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--jobs", type=int, default=1)
     common(sp)
 
     sp = sub.add_parser("atlas", help="per-orbit spectrum atlas (CSV)")
+    sp.set_defaults(run=_cmd_atlas)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--max-nodes", type=int, dest="max_nodes")
     common(sp)
 
     sp = sub.add_parser("render", help="SVG picture of a matching")
+    sp.set_defaults(run=_cmd_render)
     sp.add_argument("--coloring", required=True)
     sp.add_argument("--matching", required=True)
     common(sp)
@@ -606,12 +581,16 @@ def main(argv=None) -> int:
         return int(stop.code or 0)
     started = time.monotonic()
     try:
-        result, code = _HANDLERS[ns.command](ns)
+        result, code = ns.run(ns)
         report = {
             "schema": 1,
             "version": __version__,
             "command": ns.command,
-            "input": _input_echo(ns),
+            "input": {
+                key: value for key, value in vars(ns).items()
+                if key not in ("command", "format", "run")
+                and value is not None
+            },
             "result": result,
             "elapsed_ms": int((time.monotonic() - started) * 1000),
         }

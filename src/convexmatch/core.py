@@ -11,12 +11,15 @@ A coloring is the cyclic color sequence; a matching is a perfect matching
 of red points to blue points by straight segments.  Two colorings that
 differ by rotation, reflection, or swapping the color classes behave
 identically, so colorings are compared through a canonical form that is
-minimal over that symmetry group.
+minimal over that symmetry group.  One scan, ``_images``, lists the 8n
+images of a color string; ``canonicalize``, ``is_canonical`` and the
+CLI's atlas all read the group action from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import (
     InvalidMatching,
@@ -104,16 +107,6 @@ class Matching:
         return edge(*pair) in self.edges
 
 
-def _interleave(a: int, b: int, c: int, d: int) -> bool:
-    """Whether chords (a, b) and (c, d) on four distinct positions cross.
-
-    No validation.  Position x lies strictly between a and b exactly
-    when (x - a) * (x - b) < 0, and the chords cross exactly when one of
-    c, d does; the order within each pair does not matter.
-    """
-    return ((c - a) * (c - b) < 0) != ((d - a) * (d - b) < 0)
-
-
 def edges_cross(e1: tuple[int, int], e2: tuple[int, int], size: int) -> bool:
     """Whether two segments on the convex cycle of ``size`` points cross.
 
@@ -130,7 +123,8 @@ def edges_cross(e1: tuple[int, int], e2: tuple[int, int], size: int) -> bool:
         raise SharedEndpoint("edge with two equal endpoints")
     if {a, b} & {c, d}:
         raise SharedEndpoint(f"edges {e1} and {e2} share an endpoint")
-    return _interleave(a, b, c, d)
+    # x lies strictly between a and b exactly when (x - a) * (x - b) < 0
+    return ((c - a) * (c - b) < 0) != ((d - a) * (d - b) < 0)
 
 
 def _crossing_count(edges_seq, size: int) -> int:
@@ -253,6 +247,26 @@ def all_symmetries(size: int):
                 yield Symmetry(rotation, reflected, swapped)
 
 
+def _images(colors: str):
+    """The 8n images of a color string under the group, as strings, in
+    ``all_symmetries`` order.
+
+    Every image is a rotation of the string, its reversal, its color
+    swap or the swapped reversal, so one doubled copy of each of those
+    four bases yields all of them as slices.
+    """
+    size = len(colors)
+    for swapped in (False, True):
+        doubled = (colors.translate(_SWAP) if swapped else colors) * 2
+        # rotation r moves position i to r + i: the slice from size - r
+        for start in range(size, 0, -1):
+            yield doubled[start:start + size]
+        doubled = doubled[::-1]
+        # reflection r moves position i to r - i: from size - 1 - r
+        for start in range(size - 1, -1, -1):
+            yield doubled[start:start + size]
+
+
 def canonicalize(coloring: Coloring) -> tuple[Coloring, Symmetry]:
     """Lexicographically smallest image of the coloring under the group.
 
@@ -260,36 +274,17 @@ def canonicalize(coloring: Coloring) -> tuple[Coloring, Symmetry]:
     input onto it (the first such symmetry in scan order).  The canonical
     form is constant on orbits and idempotent.
     """
-    size = coloring.size
-    best: str | None = None
-    best_sym = IDENTITY
-    for sym in all_symmetries(size):
-        candidate = sym.apply(coloring).colors
-        if best is None or candidate < best:
-            best = candidate
-            best_sym = sym
-    assert best is not None
-    return Coloring(best), best_sym
-
-
-def _orbit_bases(colors: str) -> tuple[str, str, str, str]:
-    """The string, its reversal, its color swap and the swapped reversal.
-
-    The images of a color string under the symmetry group are exactly
-    the rotations of these four strings.
-    """
-    swapped = colors.translate(_SWAP)
-    return (colors, colors[::-1], swapped, swapped[::-1])
+    images = list(_images(coloring.colors))
+    best = min(images)
+    symmetries = all_symmetries(coloring.size)
+    return Coloring(best), next(islice(symmetries, images.index(best), None))
 
 
 def is_canonical(colors: str) -> bool:
     """Fast test that a color string equals its own canonical form."""
-    size = len(colors)
-    for base in _orbit_bases(colors):
-        doubled = base + base
-        for r in range(size):
-            if doubled[r:r + size] < colors:
-                return False
+    for image in _images(colors):
+        if image < colors:
+            return False
     return True
 
 

@@ -173,6 +173,8 @@ def test_construct_fourblock(capsys):
     )
     assert code == 0
     assert report["result"]["count"] == 20
+    # the echo keeps every parsed value that was given, and only those
+    assert report["input"] == {"kind": "fourblock", "blocks": "4,4,4,4"}
     code, report = run_json(
         capsys,
         ["construct", "fourblock", "--coloring", "RRRRRBBBBRRRBBBB"],
@@ -276,6 +278,23 @@ def test_atlas_rejects_oversized_n_before_writing(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_search_gate_precedes_run_length_expansion(capsys):
+    import tracemalloc
+
+    # never a larger count: a gate after the expansion builds the string
+    text = "10000000R10000000B"
+    for argv in (["spectrum"], ["max"], ["find", "--k", "0"]):
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--coloring", text])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "n=10000000 exceeds search limit 10" in capsys.readouterr().err
+        assert peak < 5 * 2**20
+
+
 def test_atlas_resumes_from_journal(tmp_path):
     out = tmp_path / "atlas.csv"
     journal = tmp_path / "atlas.csv.journal"
@@ -337,11 +356,18 @@ def test_atlas_resumes_after_torn_journal(tmp_path, monkeypatch):
 def test_atlas_rejects_corrupt_journal(tmp_path, capsys):
     out = tmp_path / "atlas.csv"
     journal = tmp_path / "atlas.csv.journal"
-    journal.write_text('{"n": 2, "coloring": "BB\n'
-                       '{"n": 2, "coloring": "BRBR"}\n')
-    assert main(["atlas", "--n", "2", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-    assert journal.exists() and not out.exists()
+    row = {"n": 2, "coloring": "BRBR", "orbit_size": 2, "max_crossings": 0,
+           "spectrum_min": 0, "spectrum_max": 0, "missing_values": []}
+    for first in (
+        '{"n": 2, "coloring": "BB',
+        '{"coloring": "BBRR"}',  # a row needs every column
+        '{"coloring": ["x"]}',  # its coloring is a string
+        json.dumps({**row, "coloring": "BBRR", "extra": 1}),  # no others
+    ):
+        journal.write_text(first + "\n" + json.dumps(row) + "\n")
+        assert main(["atlas", "--n", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert [p.name for p in tmp_path.iterdir()] == ["atlas.csv.journal"]
 
 
 def test_atlas_rows_agree_with_library(tmp_path):

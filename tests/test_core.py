@@ -220,7 +220,9 @@ def test_canonicalize_matches_oracle():
             col = Coloring(s)
             canon, sym = canonicalize(col)
             assert str(canon) == expected
-            assert str(sym.apply(col)) == expected  # witness symmetry works
+            # the witness is the first symmetry in scan order that works
+            assert sym == next(t for t in all_symmetries(col.size)
+                               if str(t.apply(col)) == expected)
             assert is_canonical(s) == (s == expected)
 
 

@@ -19,8 +19,9 @@ SEED = 7
 DRAWS = 400
 
 HUGE = "9" * 3000
-# no huge value here: a huge run count or block size would build a huge
-# coloring, and nothing bounds that yet
+# no huge value here: spectrum, max and find gate run-length text before
+# expanding it, but constructions and compose have no size gate yet, so a
+# huge run count or block size would build a huge coloring
 HOSTILE = ("", " ", "-1", "-7", "0", "x", "1.5", "0R0B", "1R0B1B", "0-0",
            "0-1,0-1", "RBX", ",", "-", "3-", "1e3", "\x00")
 
