@@ -180,13 +180,28 @@ ATLAS_HEADER = (
 )
 
 
+def _is_row(row) -> bool:
+    """Whether a decoded journal line is an atlas row: exactly the
+    ``ATLAS_HEADER`` keys, a string coloring, a list of integers for
+    ``missing_values`` and an integer (not a bool) for every other
+    column."""
+    # type() rather than isinstance(), which lets True pass as an int
+    return (
+        isinstance(row, dict) and row.keys() == set(ATLAS_HEADER)
+        and type(row["coloring"]) is str
+        and type(row["missing_values"]) is list
+        and all(type(v) is int for v in row["missing_values"])
+        and all(type(row[key]) is int for key in ATLAS_HEADER
+                if key not in ("coloring", "missing_values"))
+    )
+
+
 def _read_journal(path: str) -> dict[str, dict]:
     """Rows of an atlas journal, keyed by coloring.
 
-    A line is a row only when it is a JSON object whose keys are exactly
-    ``ATLAS_HEADER`` and whose coloring is a string.  A write cut short
-    leaves a last line that is not a row or lacks its newline.  That
-    line is dropped and the file truncated to the end of the last
+    A line is a row only when ``_is_row`` accepts its JSON.  A write cut
+    short leaves a last line that is not a row or lacks its newline.
+    That line is dropped and the file truncated to the end of the last
     complete line, so the next row starts on a line of its own.  Any
     earlier line that is not a row is corruption and raises.
     """
@@ -201,8 +216,7 @@ def _read_journal(path: str) -> dict[str, dict]:
                 row = json.loads(line)
             except ValueError:
                 row = None
-            if not (isinstance(row, dict) and row.keys() == set(ATLAS_HEADER)
-                    and isinstance(row["coloring"], str)):
+            if not _is_row(row):
                 if not last:
                     raise CorruptJournal(
                         f"{path} line {number} is not a journal row"

@@ -15,11 +15,16 @@ takes blue j, from which ``_Tables.matching`` decodes the witness; a
 search that keeps an incumbent keeps that int.  Crossing counts are
 maintained incrementally through a precomputed crossing-mask table (one
 machine-word bitmask per candidate edge), and a subtree is cut when no
-wanted count fits its completion interval: a partial assignment with d
-edges, c crossings so far, and r = n - d reds left can finish anywhere
-in [c, c + C(r,2) + r*d] and nowhere else.  The search stops as soon as
-nothing is left to want, so ``max_nodes`` counts only the nodes visited
-before then; the kernel counts it down as a plain int and raises
+wanted count fits its completion interval.  That interval is sharp per
+edge: a partial assignment with c crossings so far and r reds left adds
+between 0 and C(r,2) crossings among the r edges still to come, and
+each chosen edge, with aR remaining reds and aB free blues strictly
+inside its chord, is crossed between |aR - aB| and
+min(aR, r - aB) + min(aB, r - aR) more times.  Two index masks per
+candidate edge, its inside reds and its inside blues, make that two
+popcounts per chosen edge.  The search stops as soon as nothing is
+left to want, so ``max_nodes`` counts only the nodes visited before
+then; the kernel counts it down as a plain int and raises
 ``BudgetExceeded`` on the node after the last one allowed.
 
 ``minmax_sweep`` closes the loop with the closed-form bound: it computes
@@ -134,7 +139,7 @@ class Spectrum:
 
 
 class _Tables:
-    """Candidate edges of a coloring and their pairwise crossing masks.
+    """Candidate edges of a coloring: crossing masks and inside points.
 
     Edge ``i * n + j`` joins the i-th red to the j-th blue point, both in
     clockwise order, and its mask has bit ``i' * n + j'`` set when edge
@@ -143,6 +148,9 @@ class _Tables:
     inside, are runs of consecutive indices, so each mask is the inside
     blues written into every outside red's row plus the outside blues
     written into every inside red's row, neither with the shared ends.
+    ``reds_in[e]`` and ``blues_in[e]`` keep those runs as index masks
+    (bit i for red i, bit j for blue j), from which ``_dfs`` bounds how
+    often the edges still to come can cross edge e.
     """
 
     def __init__(self, coloring: Coloring):
@@ -155,25 +163,22 @@ class _Tables:
         for i in range(n):
             rows.append(rows[-1] | 1 << (i * n))
         full = (1 << n) - 1
-        masks = []
+        masks = self.masks = []
+        reds_in = self.reds_in = []
+        blues_in = self.blues_in = []
         for i, r in enumerate(reds):
             for j, b in enumerate(blues):
                 lo, hi = (r, b) if r < b else (b, r)
-                blues_in = ((1 << bisect_left(blues, hi))
-                            - (1 << bisect_right(blues, lo)))
-                reds_in = (rows[bisect_left(reds, hi)]
-                           - rows[bisect_right(reds, lo)])
+                first, stop = bisect_right(reds, lo), bisect_left(reds, hi)
+                inside = ((1 << bisect_left(blues, hi))
+                          - (1 << bisect_right(blues, lo)))
+                inside_rows = rows[stop] - rows[first]
                 masks.append(
-                    blues_in * (rows[n] - reds_in - (1 << i * n))
-                    + (full - blues_in - (1 << j)) * reds_in
+                    inside * (rows[n] - inside_rows - (1 << i * n))
+                    + (full - inside - (1 << j)) * inside_rows
                 )
-        self.masks = masks
-        # bit t of spans[d] is set when a completion from depth d can
-        # still add t crossings: C(r,2) + r*d at most, with r = n - d
-        self.spans = [
-            (1 << (comb(n - d, 2) + (n - d) * d + 1)) - 1
-            for d in range(n + 1)
-        ]
+                reds_in.append((1 << stop) - (1 << first))
+                blues_in.append(inside)
 
     def matching(self, chosen: int) -> Matching:
         """The matching whose edge mask is ``chosen``."""
@@ -195,14 +200,22 @@ def _dfs(
     ``wanted`` is a bitmask of the counts still worth reaching.  The
     search visits at most ``max_nodes`` nodes (None = unlimited) and
     raises ``BudgetExceeded`` on the next one; a node whose completion
-    interval holds no wanted count is cut.  A leaf with a wanted count
-    calls ``hit(count, chosen)``, where ``chosen`` is the leaf's edge
-    mask (bit ``i * n + j`` set when red i takes blue j), and ``hit``
-    returns the new wanted mask; the search stops once that is 0.
+    interval holds no wanted count is cut.  At depth d with c crossings
+    so far, the r = n - d edges still to come cross one another between
+    0 and C(r,2) times, and cross a chosen edge e, with aR remaining
+    reds and aB free blues strictly inside its chord, between
+    |aR - aB| and min(aR, r - aB) + min(aB, r - aR) times; every
+    completion's count lies in c plus the sums of those bounds.  A leaf
+    with a wanted count calls ``hit(count, chosen)``, where ``chosen``
+    is the leaf's edge mask (bit ``i * n + j`` set when red i takes blue
+    j), and ``hit`` returns the new wanted mask; the search stops once
+    that is 0.
     """
     n = tables.n
     masks = tables.masks
-    spans = tables.spans
+    reds_in = tables.reds_in
+    blues_in = tables.blues_in
+    path = [0] * n  # path[i] is the edge chosen for red i
     # -1 counts down without ever reaching 0: no budget
     left = -1 if max_nodes is None else max_nodes
 
@@ -212,16 +225,27 @@ def _dfs(
         if not left:
             raise BudgetExceeded("node budget exhausted")
         left -= 1
-        if not wanted >> current & spans[depth]:
-            return wanted
         if depth == n:
-            return hit(current, chosen)
+            return hit(current, chosen) if wanted >> current & 1 else wanted
+        r = n - depth
+        low = current
+        high = current + r * (r - 1) // 2
+        free = ~used
+        for e in path[:depth]:
+            red = (reds_in[e] >> depth).bit_count()
+            blue = (blues_in[e] & free).bit_count()
+            low += red - blue if red > blue else blue - red
+            both = red + blue
+            high += both if both <= r else 2 * r - both
+        # cut unless a wanted count lies in low..high
+        if not wanted >> low & ((2 << (high - low)) - 1):
+            return wanted
         base = depth * n
         for j in range(n):
             jbit = 1 << j
             if used & jbit:
                 continue
-            e = base + j
+            e = path[depth] = base + j
             wanted = dive(depth + 1, used | jbit, chosen | (1 << e),
                           current + (masks[e] & chosen).bit_count(), wanted)
             if not wanted:
@@ -242,7 +266,7 @@ def spectrum(coloring: Coloring, budget: SearchBudget | None = None) -> Spectrum
     budget = budget or SearchBudget()
     _check_size(coloring.n, budget)
     tables = _Tables(coloring)
-    unseen = tables.spans[0]
+    unseen = (1 << comb(tables.n, 2) + 1) - 1
     witnesses: dict[int, Matching] = {}
 
     def hit(count: int, chosen: int) -> int:
@@ -272,7 +296,7 @@ def _max_search(
     to discard the orbit.  The maximum comes with its witness's edge
     mask.
     """
-    every = tables.spans[0]
+    every = (1 << comb(tables.n, 2) + 1) - 1
     best = best_chosen = -1
 
     def hit(count: int, chosen: int) -> int:

@@ -363,6 +363,11 @@ def test_atlas_rejects_corrupt_journal(tmp_path, capsys):
         '{"coloring": "BBRR"}',  # a row needs every column
         '{"coloring": ["x"]}',  # its coloring is a string
         json.dumps({**row, "coloring": "BBRR", "extra": 1}),  # no others
+        # every other column holds integers
+        json.dumps({**row, "coloring": "BBRR", "missing_values": 5}),
+        json.dumps({**row, "coloring": "BBRR", "max_crossings": "x"}),
+        json.dumps({**row, "coloring": "BBRR", "orbit_size": True}),
+        json.dumps({**row, "coloring": "BBRR", "missing_values": [1.5]}),
     ):
         journal.write_text(first + "\n" + json.dumps(row) + "\n")
         assert main(["atlas", "--n", "2", "--out", str(out)]) == 2

@@ -7,8 +7,11 @@ for ``bound`` and ``--out`` into a missing directory.  ``cli.main`` runs
 in-process with every ``--out`` under ``tmp_path`` and must return 0, 1
 or 2 without raising.  Exit 3 is a falsification alarm and fails the
 test; it is never filtered out.  Sizes stay small by construction
-(searches at n <= 8, ``sweep`` at n <= 7, ``atlas`` at n <= 4,
-constructions from sizes <= 60), so the draws take under a second.
+(``spectrum`` at n <= 8, as one alternating spectrum at n = 10 takes
+about 0.6 s; ``max`` and ``find`` at n <= 11, across the default search
+gate, which accepts n = 10 and refuses n = 11; ``sweep`` at n <= 7,
+``atlas`` at n <= 4, constructions from sizes <= 60), so the draws take
+about a second.
 """
 
 import random
@@ -114,7 +117,8 @@ def draw(rng, tmp_path, index):
                           "compose", "sweep", "atlas", "render"))
     argv = [command]
     if command in ("spectrum", "max", "find"):
-        option(rng, argv, "--coloring", coloring_token(rng, 8))
+        high = 8 if command == "spectrum" else 11
+        option(rng, argv, "--coloring", coloring_token(rng, high))
         if command == "find":
             option(rng, argv, "--k", number(rng, -2, 30, huge=True))
         if rng.random() < 0.4:

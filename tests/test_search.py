@@ -357,15 +357,34 @@ def test_witnesses_are_first_in_lexicographic_order():
             assert matching.sorted_edges == first[value], rep
 
 
+def test_witnesses_are_first_in_lexicographic_order_n7():
+    rng = random.Random(97)
+    for _ in range(20):
+        colors = ["R"] * 7 + ["B"] * 7
+        rng.shuffle(colors)
+        rep = "".join(colors)
+        col = Coloring(rep)
+        first = first_by_count(rep)
+        spec = spectrum(col)
+        assert {k: m.sorted_edges for k, m in spec.witnesses.items()} \
+            == first, rep
+        for k in range(-1, 7 * 6 // 2 + 2):
+            found = find_with_k(col, k)
+            assert (found and found.sorted_edges) == first.get(k), (rep, k)
+        value, matching = max_crossing(col)
+        assert value == max(first)
+        assert matching.sorted_edges == first[value], rep
+
+
 def test_max_nodes_boundary():
     # nodes spent by spectrum, max_crossing and find_with_k(k=2), pinned
     # so that a change to pruning shows; RBRBRBRB has no matching with 2
     # crossings, and BBBRRRRB reaches C(4,2) = 6, where spectrum and
     # max_crossing stop as nothing more is wanted
     spent = {
-        "RRBRBB": (15, 13, 4),
-        "RBRBRBRB": (65, 49, 63),
-        "BBBRRRRB": (42, 29, 9),
+        "RRBRBB": (11, 7, 4),
+        "RBRBRBRB": (40, 23, 25),
+        "BBBRRRRB": (33, 18, 6),
     }
     runs = (
         lambda col, budget: spectrum(col, budget),
@@ -378,3 +397,18 @@ def test_max_nodes_boundary():
             run(col, SearchBudget(max_nodes=nodes))
             with pytest.raises(BudgetExceeded):
                 run(col, SearchBudget(max_nodes=nodes - 1))
+
+
+def test_max_crossing_nodes_on_fourblock_minimizers():
+    # the per-edge completion interval settles these in a few thousand
+    # nodes; an interval that lets every remaining edge cross every
+    # chosen edge needs 2,253,798 at n = 10
+    for colors, value, nodes in (
+        ("BBBBBRRRRRBBBBBRRRRR", 32, 3956),
+        ("BBBBBBRRRRRRBBBBBBRRRRRR", 48, 28160),
+    ):
+        col = Coloring(colors)
+        got, _ = max_crossing(col, SearchBudget(max_nodes=nodes, max_n=12))
+        assert got == value == balanced_fourblock_bound(col.n).value
+        with pytest.raises(BudgetExceeded):
+            max_crossing(col, SearchBudget(max_nodes=nodes - 1, max_n=12))
