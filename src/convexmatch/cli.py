@@ -387,12 +387,10 @@ def _cmd_construct(ns) -> tuple[dict, int]:
         coloring, matching = alternating_max_matching(ns.n)
         count = crossing_number(coloring, matching)
     elif kind == "fourblock":
-        if ns.blocks:
+        if ns.blocks is not None:
             coloring = _runs_coloring(_parse_blocks(ns.blocks, 4))
-        elif ns.coloring:
-            coloring = parse_coloring(ns.coloring)
         else:
-            raise UsageError("fourblock needs --blocks or --coloring")
+            coloring = parse_coloring(ns.coloring)
         matching, count = fourblock_max_matching(block_profile(coloring))
     elif kind == "sixblock":
         shape = _sixblock_shape(_parse_blocks(ns.blocks, 6))
@@ -409,8 +407,6 @@ def _cmd_construct(ns) -> tuple[dict, int]:
         coloring = parse_coloring(ns.coloring)
         matching = plane_matching(coloring)
         count = crossing_number(coloring, matching)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise UsageError(f"unknown construction {kind!r}")
     result = {
         "kind": kind,
         "coloring": coloring.colors,
@@ -431,7 +427,7 @@ def _cmd_compose(ns) -> tuple[dict, int]:
         "k": ns.k,
         "achievable_max": AchievableRange(coloring.n, plan.ell).max_k,
         "windows": [list(w) for w in plan.windows],
-        "targets": list(plan.targets or ()),
+        "targets": list(plan.targets),
         "remainder": list(plan.remainder),
         "matching": _matching_payload(matching),
     }, 0
@@ -546,8 +542,9 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("--n", type=int, required=True)
     common(k)
     k = kinds.add_parser("fourblock", help="exact maximum on four blocks")
-    k.add_argument("--blocks", help="r1,b1,r2,b2")
-    k.add_argument("--coloring")
+    given = k.add_mutually_exclusive_group(required=True)
+    given.add_argument("--blocks", help="r1,b1,r2,b2")
+    given.add_argument("--coloring")
     common(k)
     k = kinds.add_parser("sixblock", help="six-block witness construction")
     k.add_argument("--blocks", required=True, help="six block sizes")

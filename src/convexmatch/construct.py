@@ -15,6 +15,8 @@ n mod 4; the constructions below realize the matchings behind it:
 * ``lemma3_witness``: for every coloring, a matching whose crossing count
   is at least ``balanced_fourblock_bound(n)``, certifying that no
   coloring can force fewer crossings than the balanced 4-block one.
+  It scores one join per balanced antipodal cut pair, then the 4- and
+  6-block constructions, and stops early at C(n,2) crossings.
 
 The constructions share one arc join (``_join``, index by index), one
 scan of block frames (``_frames``) and one builder from run sizes to a
@@ -373,24 +375,21 @@ def group_partition(coloring: Coloring) -> GroupPartition:
     guaranteed whenever the core is nonempty; exhausting the scan raises
     a falsification alarm.
     """
-    n = coloring.n
     colors = coloring.colors
     profile = antipodal_profile(coloring)
     if not profile.s_positions:
         raise EmptyAntipodalCore("every antipodal pair is bichromatic")
-    in_core = set(profile.s_positions)
 
     def count(arc, core: bool, color: str) -> int:
         return sum(
-            1 for p in arc if (p in in_core) == core and colors[p] == color
+            1 for p in arc
+            if profile.is_mono(p) == core and colors[p] == color
         )
 
     per_half = count(range(coloring.size), True, RED) // 2
     want = {per_half // 2, (per_half + 1) // 2}
-    for groups in _balanced_cut_partitions(coloring):
+    for cuts, groups in _balanced_cut_partitions(coloring):
         if count(groups[0], True, RED) in want:
-            # the second arc [c2, c1+n) is never empty
-            cuts = (groups[1][-1] + 1 - n, groups[1][0])
             b_counts = tuple(
                 (count(arc, False, RED), count(arc, False, BLUE))
                 for arc in (groups[0], groups[3])
@@ -414,50 +413,44 @@ def _group_partition_matching(coloring: Coloring, groups):
 
 
 def _balanced_cut_partitions(coloring: Coloring):
-    """All arc quadruples from balanced antipodal cut pairs.
+    """Balanced antipodal cut pairs, as ``((c1, c2), arcs)``.
 
-    Core pairs are antipodal with matching colors, so an arc and its
-    antipode have identical core composition; checking the two arcs of
-    one half suffices.  Each unordered cut set {c1, c2, c1+n, c2+n} is
-    produced exactly once via 0 <= c1 <= c2 < n, in lexicographic
-    order.  No size constraint is imposed on the split: the witness
-    search wants every shape, and ``group_partition`` filters for the
-    evenly halved one.
+    The arcs are [c1, c2), [c2, c1+n) and their antipodes.  Each
+    unordered cut set {c1, c2, c1+n, c2+n} comes once, as 0 <= c1 <= c2
+    < n in lexicographic order.  A pair is balanced when [c1, c2) holds
+    as many red as blue core points, and that one test suffices.  Core
+    pairs are antipodal and monochromatic, so an arc and its antipode
+    hold the same core colors.  Bichromatic pairs hold one point of each
+    color, so the core has as many red pairs as blue; the half
+    [c1, c1+n) holds one point of each pair, so it is balanced, and so
+    is [c2, c1+n).  No size constraint is imposed on the split: the
+    witness search wants every shape, and ``group_partition`` filters
+    for the evenly halved one.
     """
     n = coloring.n
-    size = coloring.size
-    in_core = set(antipodal_profile(coloring).s_positions)
-    prefix = [0] * (size + 1)
-    for p in range(size):
-        step = 0
-        if p in in_core:
-            step = 1 if coloring.colors[p] == RED else -1
-        prefix[p + 1] = prefix[p] + step
+    profile = antipodal_profile(coloring)
+    surplus = [0]  # red minus blue core points before each cut c < n
+    for p, color in enumerate(coloring.colors[:n]):
+        step = (1 if color == RED else -1) if profile.is_mono(p) else 0
+        surplus.append(surplus[-1] + step)
     # every arc is [lo, hi) with lo < 2n and hi - lo <= n, so a slice of
     # two laps of the cycle gives its positions mod 2n
-    ring = tuple(range(size)) * 2
+    ring = tuple(range(coloring.size)) * 2
     for c1 in range(n):
         for c2 in range(c1, n):
-            if prefix[c2] - prefix[c1] != 0:
-                continue
-            if prefix[c1 + n] - prefix[c2] != 0:
-                continue
-            yield (
-                ring[c1:c2],
-                ring[c2:c1 + n],
-                ring[c1 + n:c2 + n],
-                ring[c2 + n:c1 + 2 * n],
-            )
+            if surplus[c2] == surplus[c1]:
+                yield (c1, c2), (
+                    ring[c1:c2],
+                    ring[c2:c1 + n],
+                    ring[c1 + n:c2 + n],
+                    ring[c2 + n:c1 + 2 * n],
+                )
 
 
 def _lemma3_candidates(coloring: Coloring):
     """Candidate witness matchings, as pair sequences, in tie-break order."""
-    n = coloring.n
-    if not antipodal_profile(coloring).s_positions:
-        yield tuple((i, i + n) for i in range(n))
-    else:
-        for groups in _balanced_cut_partitions(coloring):
-            yield _group_partition_matching(coloring, groups)
+    for _, groups in _balanced_cut_partitions(coloring):
+        yield _group_partition_matching(coloring, groups)
     blocks = block_profile(coloring)
     if len(blocks.runs) == 4:
         matching, _ = fourblock_max_matching(blocks)
@@ -471,16 +464,19 @@ def _lemma3_candidates(coloring: Coloring):
 def lemma3_witness(coloring: Coloring) -> tuple[Matching, int]:
     """Matching certifying the coloring's maximum is at least the bound.
 
-    Scores every applicable candidate as it is built and keeps the first
-    with the highest count:
+    Scores the applicable candidates as they are built and keeps the
+    first with the highest count:
 
-    * empty core: match every antipodal pair, all C(n,2) pairs cross;
-    * nonempty core: arc-to-antipodal-arc joins for every balanced
-      antipodal cut partition, not just the one ``group_partition``
-      picks -- where the cuts fall relative to the bichromatic pairs
-      can swing the count by more than the slack in the bound;
+    * arc-to-antipodal-arc joins for every balanced antipodal cut pair,
+      not just the one ``group_partition`` picks -- where the cuts fall
+      relative to the bichromatic pairs can swing the count by more than
+      the slack in the bound;
     * exactly four blocks: the exact 4-block maximum construction;
     * six blocks fitting the special pattern: its dedicated witness.
+
+    Scoring stops at the first candidate with all C(n,2) pairs crossing,
+    which nothing can beat: with an empty core, cut pair (0, 0) joins
+    each point to its antipode.
 
     Candidates are scored with the unvalidated ``_crossing_count``; the
     winner alone is recounted by the validating ``crossing_number``, and
@@ -493,6 +489,8 @@ def lemma3_witness(coloring: Coloring) -> tuple[Matching, int]:
         count = _crossing_count(pairs, coloring.size)
         if count > best_count:
             best_pairs, best_count = pairs, count
+            if count == comb(coloring.n, 2):
+                break
     assert best_pairs is not None
     matching = Matching.from_pairs(best_pairs)
     count = crossing_number(coloring, matching)

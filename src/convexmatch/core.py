@@ -19,7 +19,7 @@ CLI's atlas all read the group action from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby, islice
 
 from .errors import (
     InvalidMatching,
@@ -344,31 +344,15 @@ class BlockProfile:
 
     def to_coloring(self) -> Coloring:
         """The unique coloring with these runs at these positions."""
-        out = [""] * self.size
-        at = self.start
-        for color, length in self.runs:
-            for i in range(length):
-                out[(at + i) % self.size] = color
-            at += length
-        return Coloring("".join(out))
+        text = "".join(color * length for color, length in self.runs)
+        back = self.size - self.start
+        return Coloring(text[back:] + text[:back])
 
 
 def block_profile(coloring: Coloring) -> BlockProfile:
-    size = coloring.size
     colors = coloring.colors
-    start = 0
-    while start < size and colors[start] == colors[start - 1]:
-        start += 1
-    if start == size:
-        # single-color cycle; unreachable for a balanced coloring
-        raise UnbalancedColors("coloring has a single run")
-    runs = []
-    i = start
-    while i < start + size:
-        color = colors[i % size]
-        length = 1
-        while length < size and colors[(i + length) % size] == color:
-            length += 1
-        runs.append((color, length))
-        i += length
-    return BlockProfile(size, start, tuple(runs))
+    # a Coloring holds both colors, so some position starts a run
+    start = next(p for p, c in enumerate(colors) if c != colors[p - 1])
+    rotated = colors[start:] + colors[:start]
+    runs = tuple((c, len(list(run))) for c, run in groupby(rotated))
+    return BlockProfile(coloring.size, start, runs)

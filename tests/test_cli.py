@@ -60,6 +60,9 @@ def test_exit_codes(capsys):
     assert main(["bound", "--n", "not-a-number"]) == 2
     assert main(["bound", "--n", "9" * 3000]) == 2
     assert main(["no-such-command"]) == 2
+    for blocks in ("4,x,4,4", "4,4,4", "4,0,4,4"):
+        assert main(["construct", "fourblock", "--blocks", blocks]) == 2
+    assert main(["render", "--coloring", "RRBB", "--matching", "0-2,1-3"]) == 2
     capsys.readouterr()
 
 
@@ -175,6 +178,11 @@ def test_construct_fourblock(capsys):
     assert report["result"]["count"] == 20
     # the echo keeps every parsed value that was given, and only those
     assert report["input"] == {"kind": "fourblock", "blocks": "4,4,4,4"}
+    # exactly one of --blocks and --coloring
+    assert main(["construct", "fourblock", "--blocks", "1,1,1,1",
+                 "--coloring", "RRRRBBBB"]) == 2
+    assert main(["construct", "fourblock"]) == 2
+    capsys.readouterr()
     code, report = run_json(
         capsys,
         ["construct", "fourblock", "--coloring", "RRRRRBBBBRRRBBBB"],
@@ -349,6 +357,19 @@ def test_atlas_resumes_after_torn_journal(tmp_path, monkeypatch):
     assert len(lines) == 4
     assert all(json.loads(line)["n"] == 4 for line in lines)
     atlas(4, str(out))
+    assert out.read_bytes() == clean.read_bytes()
+    assert not journal.exists()
+    # a complete last row without its newline is dropped like a torn one:
+    # the sentinel orbit size never reaches the CSV
+    clean = tmp_path / "clean3.csv"
+    atlas(3, str(clean))
+    out = tmp_path / "atlas3.csv"
+    journal = tmp_path / "atlas3.csv.journal"
+    journal.write_text(json.dumps({
+        "n": 3, "coloring": "BBBRRR", "orbit_size": 999, "max_crossings": 0,
+        "spectrum_min": 0, "spectrum_max": 0, "missing_values": [],
+    }))
+    assert main(["atlas", "--n", "3", "--out", str(out)]) == 0
     assert out.read_bytes() == clean.read_bytes()
     assert not journal.exists()
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -357,10 +358,36 @@ def test_witness_regression_eight_runs():
     assert count >= balanced_fourblock_bound(5).value
 
 
-def test_witness_empty_core_uses_antipodal_family():
+def test_witness_empty_core_uses_antipodal_family(monkeypatch):
     matching, count = lemma3_witness(Coloring("RRBB"))
     assert matching.sorted_edges == ((0, 2), (1, 3))
     assert count == 1
+    # with an empty core the first cut pair, (0, 0), joins every point to
+    # its antipode; nothing beats its C(n,2) crossings, so it is the only
+    # candidate scored
+    import convexmatch.construct as construct
+
+    real = construct._crossing_count
+    calls = []
+
+    def counting(pairs, size):
+        calls.append(size)
+        return real(pairs, size)
+
+    monkeypatch.setattr(construct, "_crossing_count", counting)
+    swap = str.maketrans("RB", "BR")
+    for n in range(1, 9):
+        for half in product("RB", repeat=n):
+            first = "".join(half)
+            calls.clear()
+            matching, count = lemma3_witness(
+                Coloring(first + first.translate(swap))
+            )
+            assert matching.sorted_edges == tuple(
+                (i, i + n) for i in range(n)
+            )
+            assert count == n * (n - 1) // 2
+            assert len(calls) == 1
 
 
 def test_witness_tiny():
@@ -379,8 +406,10 @@ def test_witness_meets_bound_exhaustively():
 
 
 def test_balanced_cut_arcs_match_modular_ranges():
-    # reference: arcs [lo, hi) mod 2n for every cut pair whose first two
-    # arcs are color-balanced on the monochromatic antipodal pairs
+    # reference: the cut pair and its arcs [lo, hi) mod 2n for every cut
+    # pair whose first two arcs are color-balanced on the monochromatic
+    # antipodal pairs; the scan tests only the first, so this also checks
+    # that the second always holds
     rng = random.Random(2309)
     for _ in range(3000):
         n = rng.randint(1, 30)
@@ -397,11 +426,11 @@ def test_balanced_cut_arcs_match_modular_ranges():
             )
 
         expected = [
-            tuple(
+            ((c1, c2), tuple(
                 tuple((lo + ofs) % size for ofs in range((hi - lo) % size))
                 for lo, hi in ((c1, c2), (c2, c1 + n), (c1 + n, c2 + n),
                                (c2 + n, c1 + 2 * n))
-            )
+            ))
             for c1 in range(n)
             for c2 in range(c1, n)
             if core_balance(c1, c2) == core_balance(c2, c1 + n) == 0

@@ -73,6 +73,8 @@ def test_edges_cross_validation():
         edges_cross((0, 8), (1, 2), 8)
     with pytest.raises(SharedEndpoint):
         edges_cross((0, 3), (3, 5), 8)
+    with pytest.raises(SharedEndpoint):
+        edges_cross((2, 2), (0, 1), 8)
 
 
 def test_edges_cross_matches_oracle_everywhere():
