@@ -18,6 +18,13 @@ n mod 4; the constructions below realize the matchings behind it:
   It scores one join per balanced antipodal cut pair, then the 4- and
   6-block constructions, and stops early at C(n,2) crossings.
 
+The join of balanced cut pair (c1, c2) has exactly
+C(n,2) - sum_{t<n} |S(t) - S(c1)| crossings, where S is the core-surplus
+walk (``_core_surplus``).  The count does not depend on c2, so every c2
+ties for a given c1 and the first-best cut pair is always (c, c).
+``_half_turn`` builds that one join and its count in closed form; the
+min-max sweep screens orbits with it before it calls ``lemma3_witness``.
+
 The constructions share one arc join (``_join``, index by index), one
 scan of block frames (``_frames``) and one builder from run sizes to a
 coloring (``_runs_coloring``).  Every returned construction is checked
@@ -412,6 +419,22 @@ def _group_partition_matching(coloring: Coloring, groups):
     )
 
 
+def _core_surplus(coloring: Coloring) -> list[int]:
+    """The core-surplus walk S(0), ..., S(n-1).
+
+    S(c) counts the red minus the blue core points before cut c:
+    S(0) = 0, and step t adds +1 when positions t and t+n are both red,
+    -1 when both are blue and 0 otherwise.  A balanced coloring has as
+    many red core pairs as blue, so the walk is n-periodic.
+    """
+    profile = antipodal_profile(coloring)
+    surplus = [0]
+    for p, color in enumerate(coloring.colors[:coloring.n - 1]):
+        step = (1 if color == RED else -1) if profile.is_mono(p) else 0
+        surplus.append(surplus[-1] + step)
+    return surplus
+
+
 def _balanced_cut_partitions(coloring: Coloring):
     """Balanced antipodal cut pairs, as ``((c1, c2), arcs)``.
 
@@ -426,13 +449,16 @@ def _balanced_cut_partitions(coloring: Coloring):
     is [c2, c1+n).  No size constraint is imposed on the split: the
     witness search wants every shape, and ``group_partition`` filters
     for the evenly halved one.
+
+    The join of cut pair (c1, c2), as ``_group_partition_matching``
+    builds it, has exactly C(n,2) - sum_t |S(t) - S(c1)| crossings,
+    S being ``_core_surplus`` and t running over 0 <= t < n.  The count
+    does not depend on c2, so every c2 ties for a given c1 and the
+    first-best cut pair is always some (c, c); ``_half_turn`` finds it
+    in closed form.
     """
     n = coloring.n
-    profile = antipodal_profile(coloring)
-    surplus = [0]  # red minus blue core points before each cut c < n
-    for p, color in enumerate(coloring.colors[:n]):
-        step = (1 if color == RED else -1) if profile.is_mono(p) else 0
-        surplus.append(surplus[-1] + step)
+    surplus = _core_surplus(coloring)
     # every arc is [lo, hi) with lo < 2n and hi - lo <= n, so a slice of
     # two laps of the cycle gives its positions mod 2n
     ring = tuple(range(coloring.size)) * 2
@@ -445,6 +471,27 @@ def _balanced_cut_partitions(coloring: Coloring):
                     ring[c1 + n:c2 + n],
                     ring[c2 + n:c1 + 2 * n],
                 )
+
+
+def _half_turn(coloring: Coloring) -> tuple[list[tuple[int, int]], int]:
+    """The first-best balanced cut-pair join and its count, with no scan.
+
+    By the identity in ``_balanced_cut_partitions``, the best cut pairs
+    are those whose c1 minimises sum_t |S(t) - S(c1)|, and the first of
+    them is (c, c) for the first such c: the half [c, c+n) joined to its
+    antipode.  The count is C(n,2) minus that sum; it is not validated.
+    """
+    n = coloring.n
+    surplus = _core_surplus(coloring)
+    ranked = sorted(surplus)
+    # the deviation sum is least exactly at the values between the medians
+    low, high = ranked[(n - 1) // 2], ranked[n // 2]
+    c = next(c for c, s in enumerate(surplus) if low <= s <= high)
+    half = range(c, c + n)
+    pairs = _group_partition_matching(
+        coloring, ((), half, (), [(p + n) % coloring.size for p in half])
+    )
+    return pairs, comb(n, 2) - sum(abs(s - surplus[c]) for s in surplus)
 
 
 def _lemma3_candidates(coloring: Coloring):

@@ -31,11 +31,14 @@ then; the kernel counts it down as a plain int and raises
 the minimum over all colorings (one canonical representative per
 symmetry orbit) of the maximum crossing number and insists the two
 routes agree, raising a falsification alarm otherwise.  Every orbit
-runs one job: the paper's Lemma-3 witness settles it when its validated
-count exceeds the bound (the orbit cannot be a minimizer), and only the
-orbits it leaves get the search, capped at the bound and at
-``max_nodes`` nodes each.  The job is mapped in-process or over a pool
-of at most ``os.cpu_count()`` workers; there is no second path.
+runs one job.  A screen settles it when its best balanced cut-pair
+join, found in closed form by ``construct._half_turn`` and counted by
+the validating ``crossing_number``, exceeds the bound (the orbit cannot
+be a minimizer).  The orbits the screen leaves get the paper's full
+Lemma-3 witness, which settles them the same way or raises its alarm.
+Only the orbits neither settles get the search, capped at the bound and
+at ``max_nodes`` nodes each.  The job is mapped in-process or over a
+pool of at most ``os.cpu_count()`` workers; there is no second path.
 
 Default size limits keep accidental combinatorial explosions out of
 interactive use; raise them through ``SearchBudget`` or the environment
@@ -53,12 +56,13 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .construct import balanced_fourblock_bound, lemma3_witness
+from .construct import _half_turn, balanced_fourblock_bound, lemma3_witness
 from .core import (
     BLUE,
     RED,
     Coloring,
     Matching,
+    crossing_number,
     is_canonical,
 )
 from .errors import (
@@ -352,39 +356,48 @@ def find_with_k(
 def enumerate_colorings(n: int) -> list[Coloring]:
     """One canonical representative per symmetry orbit, sorted.
 
-    Filters all C(2n, n) balanced color strings down to those equal to
-    their own canonical form; the list length is the orbit count.
+    Filters balanced color strings down to those equal to their own
+    canonical form; the list length is the orbit count.  A canonical
+    form starts with B (else its color swap is smaller) and ends with R
+    (else rotating the final B to the front is smaller), so only the
+    C(2n-2, n-1) strings with those ends are tried.  Their blue
+    positions are drawn in lexicographic order, which lists the strings
+    in sorted order.
     """
     if n < 1:
         raise OutOfRange(f"need n >= 1, got {n}")
     size = 2 * n
     reps = []
-    for red_positions in combinations(range(size), n):
-        chars = [BLUE] * size
-        for p in red_positions:
-            chars[p] = RED
+    for blue_positions in combinations(range(1, size - 1), n - 1):
+        chars = [RED] * size
+        chars[0] = BLUE
+        for p in blue_positions:
+            chars[p] = BLUE
         colors = "".join(chars)
         if is_canonical(colors):
             reps.append(colors)
-    reps.sort()
     return [Coloring(c) for c in reps]
 
 
 def _sweep_job(args: tuple[str, int, int | None]) -> tuple[str, int | None]:
     """How one orbit was settled, and its maximum if at most ``bound``.
 
-    A Lemma-3 witness whose count, as ``lemma3_witness`` checked and
-    returned it, exceeds the bound settles the orbit as
-    ``("witness", None)`` without a search.  Otherwise the capped search
-    gives ``("search", value)``, with None for a maximum above the
-    bound, or ``("budget", None)`` once it runs out of nodes.  A witness
-    below the bound is a falsification alarm, raised by
-    ``lemma3_witness`` and not caught here.
+    The screen comes first: ``_half_turn`` joins the best balanced cut
+    pair in closed form, and when the validating ``crossing_number`` of
+    that join exceeds the bound, the orbit is settled as
+    ``("witness", None)``.  An orbit the screen leaves gets
+    ``lemma3_witness``, which adds the 4- and 6-block candidates and
+    settles it the same way when its checked count exceeds the bound.
+    Otherwise the capped search gives ``("search", value)``, with None
+    for a maximum above the bound, or ``("budget", None)`` once it runs
+    out of nodes.  A witness below the bound is a falsification alarm,
+    raised by ``lemma3_witness`` and not caught here.
     """
     colors, bound, max_nodes = args
     coloring = Coloring(colors)
-    _, count = lemma3_witness(coloring)
-    if count > bound:
+    pairs, _ = _half_turn(coloring)
+    if (crossing_number(coloring, Matching.from_pairs(pairs)) > bound
+            or lemma3_witness(coloring)[1] > bound):
         return "witness", None
     try:
         result = _max_search(_Tables(coloring), bound, max_nodes)
@@ -404,15 +417,19 @@ def minmax_sweep(
     cross-checks the value against ``balanced_fourblock_bound``; any
     disagreement raises a falsification alarm.  Only an orbit whose
     maximum is at most the bound can attain the minimum, so each orbit
-    is first offered its ``lemma3_witness``: a witness counting above the
-    bound drops the orbit with no search, and one counting below it
-    raises ``WitnessBelowBound``.  The rest get the exact branch and
-    bound, aborted once a matching beats the bound.  ``budget.max_nodes`` caps each searched orbit
-    (witness-settled orbits spend no nodes); running out raises
-    ``BudgetExceeded``.  ``budget.jobs`` above 1, clamped to the CPU
-    count, maps the same per-orbit job over a process pool, so results
-    do not depend on the worker count.  A ``settled`` dict receives how
-    many orbits the witness and the search settled.
+    is first screened by its best balanced cut-pair join, built in
+    closed form and counted by the validating ``crossing_number``, and
+    then, if that join does not exceed the bound, offered its
+    ``lemma3_witness``: a join or witness counting above the bound drops
+    the orbit with no search, and a witness counting below it raises
+    ``WitnessBelowBound``.  The rest get the exact branch and bound,
+    aborted once a matching beats the bound.  ``budget.max_nodes`` caps
+    each searched orbit (witness-settled orbits spend no nodes); running
+    out raises ``BudgetExceeded``.  ``budget.jobs`` above 1, clamped to
+    the CPU count, maps the same per-orbit job over a process pool, so
+    results do not depend on the worker count.  A ``settled`` dict
+    receives how many orbits the witness (screen or full Lemma-3
+    witness) and the search settled.
     """
     budget = budget or SearchBudget()
     _check_size(n, budget, "sweep")

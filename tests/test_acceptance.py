@@ -241,3 +241,16 @@ def test_criterion_11_sweep_n10_single_balanced_fourblock_minimizer():
     report(11, time.time() - start, 120,
            "sweep over all 2518 orbits at n=10 equals the bound 32, the "
            "balanced 4-block coloring is the only minimizer")
+
+
+def test_criterion_12_sweep_n12_two_fourblock_minimizers():
+    start = time.time()
+    settled = {}
+    value, minimizers = minmax_sweep(12, SearchBudget(max_n=12), settled)
+    assert value == balanced_fourblock_bound(12).value == 48
+    assert [str(c) for c in minimizers] == [
+        "BBBBBBBRRRRRRBBBBBRRRRRR", "BBBBBBRRRRRRBBBBBBRRRRRR"]
+    assert settled == {"witness": 28966, "search": 2}
+    report(12, time.time() - start, 120,
+           "sweep over all 28968 orbits at n=12 equals the bound 48; the "
+           "witness settles all but the two 4-block minimizers")

@@ -252,6 +252,18 @@ def test_sweep_command(capsys):
     capsys.readouterr()
 
 
+def test_sweep_report_does_not_depend_on_jobs(capsys):
+    for n in range(2, 9):
+        reports = []
+        for jobs in ("1", "2"):
+            code, report = run_json(
+                capsys, ["sweep", "--n", str(n), "--jobs", jobs])
+            assert code == 0
+            del report["elapsed_ms"], report["input"]["jobs"]
+            reports.append(report)
+        assert reports[0] == reports[1], n
+
+
 # ------------------------------------------------------------------ atlas
 
 

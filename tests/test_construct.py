@@ -30,9 +30,15 @@ from convexmatch import (
 from convexmatch.construct import (
     _balanced_cut_partitions,
     _group_partition_matching,
+    _half_turn,
     sixblock_sizes,
 )
-from convexmatch.core import all_symmetries, antipodal_profile, edges_cross
+from convexmatch.core import (
+    _crossing_count,
+    all_symmetries,
+    antipodal_profile,
+    edges_cross,
+)
 from convexmatch.errors import (
     EmptyAntipodalCore,
     NotFourBlock,
@@ -436,3 +442,44 @@ def test_balanced_cut_arcs_match_modular_ranges():
             if core_balance(c1, c2) == core_balance(c2, c1 + n) == 0
         ]
         assert list(_balanced_cut_partitions(col)) == expected
+
+
+def cut_pair_cases():
+    """Every coloring with n <= 7, then 200 seeded random ones, n <= 60."""
+    for n in range(1, 8):
+        yield from oracle.colorings(n)
+    rng = random.Random(41733)
+    for _ in range(200):
+        n = rng.randint(8, 60)
+        colors = ["R"] * n + ["B"] * n
+        rng.shuffle(colors)
+        yield "".join(colors)
+
+
+def core_surplus(colors):
+    """S(t) for t < n: red minus blue monochromatic antipodal pairs
+    among positions 0..t-1."""
+    n = len(colors) // 2
+    walk = [0]
+    for t in range(n - 1):
+        mono = colors[t] == colors[t + n]
+        step = (1 if colors[t] == "R" else -1) if mono else 0
+        walk.append(walk[-1] + step)
+    return walk
+
+
+def test_cut_pair_joins_count_in_closed_form():
+    # every cut pair (c1, c2) joins into C(n,2) - sum_t |S(t) - S(c1)|
+    # crossings, and _half_turn is the scan's first-best join and count
+    for colors in cut_pair_cases():
+        col = Coloring(colors)
+        walk = core_surplus(colors)
+        best = None
+        for (c1, _), arcs in _balanced_cut_partitions(col):
+            pairs = _group_partition_matching(col, arcs)
+            count = _crossing_count(pairs, col.size)
+            assert count == comb2(col.n) - sum(abs(s - walk[c1])
+                                                for s in walk), (colors, c1)
+            if best is None or count > best[1]:
+                best = pairs, count
+        assert _half_turn(col) == best, colors

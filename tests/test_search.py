@@ -127,9 +127,9 @@ def test_find_with_k_agrees_with_spectrum():
 def test_enumerate_colorings():
     counts = [len(enumerate_colorings(n)) for n in range(1, 7)]
     assert counts == [1, 2, 3, 7, 13, 35]
-    reps = enumerate_colorings(4)
-    assert [str(c) for c in reps] == oracle.canonical_reps(4)
-    assert reps == sorted(reps, key=str)
+    for n in range(1, 9):
+        reps = enumerate_colorings(n)
+        assert [str(c) for c in reps] == oracle.canonical_reps(n)
     with pytest.raises(OutOfRange):
         enumerate_colorings(0)
 
@@ -210,15 +210,31 @@ def test_sweep_job_equals_capped_search():
             assert how in ("witness", "search")
 
 
+def screen_off(monkeypatch):
+    """Make the half-turn screen settle nothing: its join becomes the
+    crossing-free one, which never exceeds the bound."""
+    monkeypatch.setattr(search, "_half_turn", lambda coloring: (
+        plane_matching(coloring).sorted_edges, 0))
+
+
 def test_sweep_without_witnesses_is_unchanged(monkeypatch):
     def settles_nothing(coloring):
         return plane_matching(coloring), 0
 
     screened = sweep(6)
+    screen_off(monkeypatch)
     monkeypatch.setattr(search, "lemma3_witness", settles_nothing)
     value, minimizers, settled = sweep(6)
     assert (value, minimizers) == screened[:2]
     assert settled == {"witness": 0, "search": len(enumerate_colorings(6))}
+
+
+def test_sweep_with_screen_equals_sweep_without(monkeypatch):
+    budget = SearchBudget(max_n=10)
+    screened = {n: sweep(n, budget) for n in range(2, 11)}
+    screen_off(monkeypatch)
+    for n, expected in screened.items():
+        assert sweep(n, budget) == expected, n
 
 
 def test_witness_below_bound_stops_the_sweep(monkeypatch, capsys):
