@@ -21,13 +21,11 @@ from .compose import (
 from .construct import (
     BoundBreakdown,
     FourBlockPlan,
-    GroupPartition,
     alternating_coloring,
     alternating_max_matching,
     balanced_fourblock_bound,
     balanced_fourblock_coloring,
     fourblock_max_matching,
-    group_partition,
     h_value,
     lemma3_witness,
     plane_matching,
@@ -37,13 +35,11 @@ from .construct import (
 from .core import (
     BLUE,
     RED,
-    AntipodalProfile,
     BlockProfile,
     Coloring,
     Matching,
     Symmetry,
     all_symmetries,
-    antipodal_profile,
     block_profile,
     canonicalize,
     crossing_number,
@@ -74,7 +70,6 @@ from .search import (
 __all__ = [
     "__version__",
     "AchievableRange",
-    "AntipodalProfile",
     "BLUE",
     "BlockProfile",
     "BoundBreakdown",
@@ -84,7 +79,6 @@ __all__ = [
     "DomainNegative",
     "FalsificationAlarm",
     "FourBlockPlan",
-    "GroupPartition",
     "InvalidMatching",
     "Matching",
     "ParseError",
@@ -99,7 +93,6 @@ __all__ = [
     "allocate",
     "alternating_coloring",
     "alternating_max_matching",
-    "antipodal_profile",
     "balanced_fourblock_bound",
     "balanced_fourblock_coloring",
     "block_profile",
@@ -111,7 +104,6 @@ __all__ = [
     "enumerate_colorings",
     "find_with_k",
     "fourblock_max_matching",
-    "group_partition",
     "h_value",
     "is_canonical",
     "lemma3_witness",

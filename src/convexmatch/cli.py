@@ -78,8 +78,11 @@ def parse_coloring(text: str, budget: SearchBudget | None = None) -> Coloring:
         consumed = match.end()
     if consumed != len(stripped):
         raise ParseError(f"unreadable coloring text {text!r}")
+    size = sum(count for count, _ in runs)
     if budget is not None:
-        _check_size(sum(count for count, _ in runs) // 2, budget)
+        _check_size(size // 2, budget)
+    if size > sys.maxsize:
+        raise OutOfRange(f"coloring has more than {sys.maxsize} points")
     return Coloring("".join(color * count for count, color in runs))
 
 

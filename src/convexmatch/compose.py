@@ -61,9 +61,6 @@ class AchievableRange:
     def __contains__(self, k: int) -> bool:
         return k == 0 or 3 <= k <= self.max_k
 
-    def to_set(self) -> set[int]:
-        return {0} | set(range(3, self.max_k + 1))
-
 
 def window_partition(coloring: Coloring) -> CompositionPlan:
     """Disjoint balanced 14-point windows plus a balanced remainder.

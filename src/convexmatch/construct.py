@@ -37,6 +37,7 @@ scores its candidates with the unvalidated O(n log n) counter
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, floor
@@ -48,13 +49,10 @@ from .core import (
     Coloring,
     Matching,
     _crossing_count,
-    antipodal_profile,
     block_profile,
     crossing_number,
 )
 from .errors import (
-    EmptyAntipodalCore,
-    NoBalancedCuts,
     NotFourBlock,
     OddN,
     OutOfRange,
@@ -89,6 +87,8 @@ def _frames(profile: BlockProfile):
 
 def _runs_coloring(sizes) -> Coloring:
     """The coloring whose runs have these sizes, starting with red."""
+    if sum(sizes) > sys.maxsize:
+        raise OutOfRange(f"coloring has more than {sys.maxsize} points")
     return Coloring(
         "".join((RED if i % 2 == 0 else BLUE) * s for i, s in enumerate(sizes))
     )
@@ -118,6 +118,8 @@ def alternating_coloring(n: int) -> Coloring:
     """The coloring whose colors alternate at every step."""
     if n < 1:
         raise OutOfRange("need at least one pair")
+    if 2 * n > sys.maxsize:
+        raise OutOfRange(f"coloring has more than {sys.maxsize} points")
     return Coloring((RED + BLUE) * n)
 
 
@@ -347,67 +349,10 @@ def _sixblock_frame(profile: BlockProfile):
     return None
 
 
-@dataclass(frozen=True)
-class GroupPartition:
-    """Four arcs cut by two antipodal gap pairs, color-balanced on the core.
-
-    ``cuts`` holds gap positions c1 <= c2; a gap g sits just before
-    position g, and the four arcs are [c1,c2), [c2,c1+n), and their
-    antipodes (c1 = c2 leaves the first and third arcs empty).  Within
-    each arc, the monochromatic-antipodal core contributes equally many
-    red and blue points, and the cuts halve the core as evenly as
-    possible, so consecutive arcs carry m and m (or m and m+1) core
-    points of each color.  ``b_counts`` gives the (red, blue) counts of
-    bichromatic-antipodal points in the first arc and in its clockwise
-    predecessor (the arc antipodal to the second).
-    """
-
-    cuts: tuple[int, int]
-    groups: tuple[tuple[int, ...], ...]
-    b_counts: tuple[tuple[int, int], tuple[int, int]]
-
-
-def group_partition(coloring: Coloring) -> GroupPartition:
-    """First antipodal cut pair splitting the core into balanced quarters.
-
-    Core pairs are antipodal and monochromatic, so every half [c, c+n)
-    automatically contains exactly half the core's red points and half
-    its blue points.  The pick is the first of
-    ``_balanced_cut_partitions`` (whose two arcs of a half are each
-    color-balanced on the core) whose first arc takes half of a half's
-    core reds, rounded either way, so the two arcs of a half get m and
-    m, or m and m+1, core points per color.  A qualifying cut pair with
-    c2 >= n would have its mirror (c2 - n, c1) earlier in lexicographic
-    order, so scanning only c2 < n loses nothing.  Existence is
-    guaranteed whenever the core is nonempty; exhausting the scan raises
-    a falsification alarm.
-    """
-    colors = coloring.colors
-    profile = antipodal_profile(coloring)
-    if not profile.s_positions:
-        raise EmptyAntipodalCore("every antipodal pair is bichromatic")
-
-    def count(arc, core: bool, color: str) -> int:
-        return sum(
-            1 for p in arc
-            if profile.is_mono(p) == core and colors[p] == color
-        )
-
-    per_half = count(range(coloring.size), True, RED) // 2
-    want = {per_half // 2, (per_half + 1) // 2}
-    for cuts, groups in _balanced_cut_partitions(coloring):
-        if count(groups[0], True, RED) in want:
-            b_counts = tuple(
-                (count(arc, False, RED), count(arc, False, BLUE))
-                for arc in (groups[0], groups[3])
-            )
-            return GroupPartition(cuts, groups, b_counts)
-    raise NoBalancedCuts(f"no balanced antipodal cuts for {coloring}")
-
-
-def _group_partition_matching(coloring: Coloring, groups):
-    """Match each arc to its antipode so same-colored bundles cross."""
-    rt, rb, lb, lt = groups
+def _cut_pair_join(coloring: Coloring, arcs):
+    """Join each arc of a cut pair to its antipode so same-colored
+    bundles cross."""
+    rt, rb, lb, lt = arcs
     colors = coloring.colors
     return _join(
         (
@@ -427,10 +372,10 @@ def _core_surplus(coloring: Coloring) -> list[int]:
     -1 when both are blue and 0 otherwise.  A balanced coloring has as
     many red core pairs as blue, so the walk is n-periodic.
     """
-    profile = antipodal_profile(coloring)
+    colors, n = coloring.colors, coloring.n
     surplus = [0]
-    for p, color in enumerate(coloring.colors[:coloring.n - 1]):
-        step = (1 if color == RED else -1) if profile.is_mono(p) else 0
+    for p, color in enumerate(colors[:n - 1]):
+        step = (1 if color == RED else -1) if color == colors[p + n] else 0
         surplus.append(surplus[-1] + step)
     return surplus
 
@@ -446,16 +391,15 @@ def _balanced_cut_partitions(coloring: Coloring):
     hold the same core colors.  Bichromatic pairs hold one point of each
     color, so the core has as many red pairs as blue; the half
     [c1, c1+n) holds one point of each pair, so it is balanced, and so
-    is [c2, c1+n).  No size constraint is imposed on the split: the
-    witness search wants every shape, and ``group_partition`` filters
-    for the evenly halved one.
+    is [c2, c1+n).  No size constraint is imposed on the split: Lemma
+    3's proof halves the core evenly, but the witness search wants every
+    shape.
 
-    The join of cut pair (c1, c2), as ``_group_partition_matching``
-    builds it, has exactly C(n,2) - sum_t |S(t) - S(c1)| crossings,
-    S being ``_core_surplus`` and t running over 0 <= t < n.  The count
-    does not depend on c2, so every c2 ties for a given c1 and the
-    first-best cut pair is always some (c, c); ``_half_turn`` finds it
-    in closed form.
+    The join of cut pair (c1, c2), as ``_cut_pair_join`` builds it, has
+    exactly C(n,2) - sum_t |S(t) - S(c1)| crossings, S being
+    ``_core_surplus`` and t running over 0 <= t < n.  The count does not
+    depend on c2, so every c2 ties for a given c1 and the first-best cut
+    pair is always some (c, c); ``_half_turn`` finds it in closed form.
     """
     n = coloring.n
     surplus = _core_surplus(coloring)
@@ -488,7 +432,7 @@ def _half_turn(coloring: Coloring) -> tuple[list[tuple[int, int]], int]:
     low, high = ranked[(n - 1) // 2], ranked[n // 2]
     c = next(c for c, s in enumerate(surplus) if low <= s <= high)
     half = range(c, c + n)
-    pairs = _group_partition_matching(
+    pairs = _cut_pair_join(
         coloring, ((), half, (), [(p + n) % coloring.size for p in half])
     )
     return pairs, comb(n, 2) - sum(abs(s - surplus[c]) for s in surplus)
@@ -497,7 +441,7 @@ def _half_turn(coloring: Coloring) -> tuple[list[tuple[int, int]], int]:
 def _lemma3_candidates(coloring: Coloring):
     """Candidate witness matchings, as pair sequences, in tie-break order."""
     for _, groups in _balanced_cut_partitions(coloring):
-        yield _group_partition_matching(coloring, groups)
+        yield _cut_pair_join(coloring, groups)
     blocks = block_profile(coloring)
     if len(blocks.runs) == 4:
         matching, _ = fourblock_max_matching(blocks)
@@ -515,9 +459,9 @@ def lemma3_witness(coloring: Coloring) -> tuple[Matching, int]:
     first with the highest count:
 
     * arc-to-antipodal-arc joins for every balanced antipodal cut pair,
-      not just the one ``group_partition`` picks -- where the cuts fall
-      relative to the bichromatic pairs can swing the count by more than
-      the slack in the bound;
+      not just the evenly halved one of Lemma 3's proof -- where the
+      cuts fall relative to the bichromatic pairs can swing the count by
+      more than the slack in the bound;
     * exactly four blocks: the exact 4-block maximum construction;
     * six blocks fitting the special pattern: its dedicated witness.
 

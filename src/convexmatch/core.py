@@ -66,9 +66,6 @@ class Coloring:
     def n(self) -> int:
         return len(self.colors) // 2
 
-    def color(self, position: int) -> str:
-        return self.colors[position % self.size]
-
     def positions_of(self, color: str) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.colors) if c == color)
 
@@ -223,20 +220,6 @@ class Symmetry:
             out[self.position(i, size)] = src[i]
         return Coloring("".join(out))
 
-    def apply_to_matching(self, matching: Matching, size: int) -> Matching:
-        return Matching.from_pairs(
-            (self.position(a, size), self.position(b, size))
-            for a, b in matching.edges
-        )
-
-    def inverse(self, size: int) -> "Symmetry":
-        # a reflection is its own positional inverse
-        if self.reflected:
-            return self
-        return Symmetry((-self.rotation) % size, False, self.swapped)
-
-
-IDENTITY = Symmetry(0, False, False)
 
 
 def all_symmetries(size: int):
@@ -289,49 +272,16 @@ def is_canonical(colors: str) -> bool:
 
 
 @dataclass(frozen=True)
-class AntipodalProfile:
-    """Classification of the n antipodal pairs (i, i+n) of a coloring.
-
-    A pair is monochromatic when both points share a color, bichromatic
-    otherwise.  ``s_positions`` lists every position belonging to a
-    monochromatic pair; this core set drives the witness constructions.
-    """
-
-    n: int
-    mono: tuple[bool, ...]
-    s_positions: tuple[int, ...]
-
-    def is_mono(self, position: int) -> bool:
-        return self.mono[position % self.n]
-
-
-def antipodal_profile(coloring: Coloring) -> AntipodalProfile:
-    n = coloring.n
-    mono = tuple(
-        coloring.colors[i] == coloring.colors[i + n] for i in range(n)
-    )
-    s_positions = tuple(
-        p for p in range(2 * n) if mono[p % n]
-    )
-    return AntipodalProfile(n, mono, s_positions)
-
-
-@dataclass(frozen=True)
 class BlockProfile:
     """Run-length view of a coloring: maximal single-color arcs.
 
     ``start`` is the first position at or after 0 that begins a run, so
-    the runs tile the cycle starting there.  ``s`` is half the number of
-    runs, i.e. the number of red runs.
+    the runs tile the cycle starting there.
     """
 
     size: int
     start: int
     runs: tuple[tuple[str, int], ...]
-
-    @property
-    def s(self) -> int:
-        return len(self.runs) // 2
 
     def block_positions(self) -> tuple[tuple[int, ...], ...]:
         """Positions of each run, clockwise, in run order."""

@@ -46,10 +46,6 @@ class NotSixBlockPattern(UsageError):
     """Block sizes do not fit the six-block witness pattern."""
 
 
-class EmptyAntipodalCore(UsageError):
-    """Operation needs at least one monochromatic antipodal pair."""
-
-
 class TooSmall(UsageError):
     """Point set below the minimum size for this operation."""
 
@@ -85,11 +81,6 @@ class BudgetExceeded(DomainNegative):
 
 class FalsificationAlarm(Exception):
     """Impossible-by-theory condition observed.  Never silence this."""
-
-
-class NoBalancedCuts(FalsificationAlarm):
-    """No antipodal cut pair splits the monochromatic-antipodal core into
-    four color-balanced groups."""
 
 
 class WitnessBelowBound(FalsificationAlarm):

@@ -63,6 +63,16 @@ def test_exit_codes(capsys):
     for blocks in ("4,x,4,4", "4,4,4", "4,0,4,4"):
         assert main(["construct", "fourblock", "--blocks", blocks]) == 2
     assert main(["render", "--coloring", "RRBB", "--matching", "0-2,1-3"]) == 2
+    # point counts beyond sys.maxsize are refused before any string is built
+    big = "9" * 20
+    for argv in (
+        ["construct", "alternating", "--n", "1" + "0" * 20],
+        ["construct", "fourblock", "--blocks", f"{big},1,1,{big}"],
+        ["construct", "fourblock", "--coloring", f"{big}R1B1R{big}B"],
+        ["construct", "witness", "--coloring", f"{big}R{big}B"],
+        ["compose", "--coloring", f"{big}R{big}B", "--k", "3"],
+    ):
+        assert main(argv) == 2, argv
     capsys.readouterr()
 
 

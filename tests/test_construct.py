@@ -20,7 +20,6 @@ from convexmatch import (
     canonicalize,
     crossing_number,
     fourblock_max_matching,
-    group_partition,
     h_value,
     lemma3_witness,
     plane_matching,
@@ -29,18 +28,16 @@ from convexmatch import (
 )
 from convexmatch.construct import (
     _balanced_cut_partitions,
-    _group_partition_matching,
+    _cut_pair_join,
     _half_turn,
     sixblock_sizes,
 )
 from convexmatch.core import (
     _crossing_count,
     all_symmetries,
-    antipodal_profile,
     edges_cross,
 )
 from convexmatch.errors import (
-    EmptyAntipodalCore,
     NotFourBlock,
     OddN,
     OutOfRange,
@@ -275,80 +272,62 @@ def test_sixblock_guards():
 # -------------------------------------------------------- group partition
 
 
-def test_group_partition_frozen_alternating():
-    gp = group_partition(Coloring("RBRBRBRB"))
-    assert gp.cuts == (0, 2)
-    assert gp.groups == ((0, 1), (2, 3), (4, 5), (6, 7))
-    assert gp.b_counts == ((0, 0), (0, 0))
-
-
-def test_group_partition_frozen_blocks():
-    gp = group_partition(Coloring("RRBBRRBB"))
-    assert gp.cuts == (1, 3)
-    assert gp.groups == ((1, 2), (3, 4), (5, 6), (7, 0))
-    assert gp.b_counts == ((0, 0), (0, 0))
-
-
-def test_group_partition_with_bichromatic_pairs():
-    gp = group_partition(Coloring("RRBRBRBRBB"))
-    assert gp.cuts == (0, 0)
-    assert gp.groups == ((), (0, 1, 2, 3, 4), (), (5, 6, 7, 8, 9))
-    assert gp.b_counts == ((0, 0), (1, 2))
-
-
-def test_group_partition_needs_core():
-    with pytest.raises(EmptyAntipodalCore):
-        group_partition(Coloring("RRBB"))
+def core_positions(colors):
+    """Positions whose antipode has the same color."""
+    n = len(colors) // 2
+    return {p for p, ch in enumerate(colors) if ch == colors[(p + n) % (2 * n)]}
 
 
 def test_group_partition_structure():
-    """Arcs are antipodal in pairs and core-balanced in each arc."""
+    """Every balanced cut pair's arcs tile the cycle, are antipodal in
+    pairs and are core-balanced in each arc."""
     for n in range(1, 6):
         for s in oracle.colorings(n):
             col = Coloring(s)
-            core = set(antipodal_profile(col).s_positions)
-            if not core:
-                continue
-            gp = group_partition(col)
+            core = core_positions(s)
             size = col.size
-            assert sorted(p for g in gp.groups for p in g) == list(range(size))
-            for near, far in ((0, 2), (1, 3)):
-                assert tuple((p + n) % size for p in gp.groups[near]) == \
-                    gp.groups[far]
-            for g in gp.groups:
-                in_core = [p for p in g if p in core]
-                reds = sum(1 for p in in_core if s[p] == "R")
-                assert 2 * reds == len(in_core)
+            for _, arcs in _balanced_cut_partitions(col):
+                assert sorted(p for g in arcs for p in g) == list(range(size))
+                for near, far in ((0, 2), (1, 3)):
+                    assert tuple((p + n) % size for p in arcs[near]) == \
+                        arcs[far]
+                for g in arcs:
+                    in_core = [p for p in g if p in core]
+                    reds = sum(1 for p in in_core if s[p] == "R")
+                    assert 2 * reds == len(in_core)
 
 
 def test_bundle_crossings_bound():
     """Red and blue edge families of an arc pair cross enough.
 
-    For the two arcs carrying the bichromatic-antipodal counts, the
-    edges at the arc's red points and the edges at its blue points must
-    cross at least (red count) * (blue count) times.
+    In every balanced cut pair's join, the edges at the red points and
+    the edges at the blue points of the first and the last arc must
+    cross at least (bichromatic red count) * (bichromatic blue count)
+    times, counting the arc's points whose antipode has the other color.
     """
     for n in range(1, 7):
         for s in oracle.colorings(n):
             col = Coloring(s)
-            if not antipodal_profile(col).s_positions:
-                continue
-            gp = group_partition(col)
-            pairs = _group_partition_matching(col, gp.groups)
-            for arc, (b_red, b_blue) in zip(
-                (gp.groups[0], gp.groups[3]), gp.b_counts
-            ):
-                members = set(arc)
-                fam_r = [e for e in pairs
-                         if any(p in members and s[p] == "R" for p in e)]
-                fam_b = [e for e in pairs
-                         if any(p in members and s[p] == "B" for p in e)]
-                crossings = sum(
-                    edges_cross(tuple(sorted(e)), tuple(sorted(f)), col.size)
-                    for e in fam_r for f in fam_b
-                    if not set(e) & set(f)
-                )
-                assert crossings >= b_red * b_blue
+            core = core_positions(s)
+            for _, arcs in _balanced_cut_partitions(col):
+                pairs = _cut_pair_join(col, arcs)
+                for arc in (arcs[0], arcs[3]):
+                    members = set(arc)
+                    b_red = sum(1 for p in arc
+                                if p not in core and s[p] == "R")
+                    b_blue = sum(1 for p in arc
+                                 if p not in core and s[p] == "B")
+                    fam_r = [e for e in pairs
+                             if any(p in members and s[p] == "R" for p in e)]
+                    fam_b = [e for e in pairs
+                             if any(p in members and s[p] == "B" for p in e)]
+                    crossings = sum(
+                        edges_cross(tuple(sorted(e)), tuple(sorted(f)),
+                                    col.size)
+                        for e in fam_r for f in fam_b
+                        if not set(e) & set(f)
+                    )
+                    assert crossings >= b_red * b_blue
 
 
 # ---------------------------------------------------------------- witness
@@ -476,7 +455,7 @@ def test_cut_pair_joins_count_in_closed_form():
         walk = core_surplus(colors)
         best = None
         for (c1, _), arcs in _balanced_cut_partitions(col):
-            pairs = _group_partition_matching(col, arcs)
+            pairs = _cut_pair_join(col, arcs)
             count = _crossing_count(pairs, col.size)
             assert count == comb2(col.n) - sum(abs(s - walk[c1])
                                                 for s in walk), (colors, c1)

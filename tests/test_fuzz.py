@@ -3,7 +3,8 @@
 Each draw picks a subcommand and fills its options from the grammar with
 valid, mutated or hostile tokens: empty strings, negative numbers,
 zero-length runs, repeated edges, unknown formats, a 3000-digit ``--n``
-for ``bound`` and ``--out`` into a missing directory.  ``cli.main`` runs
+for ``bound``, 3000-digit run counts and block sizes for constructions
+and ``compose``, and ``--out`` into a missing directory.  ``cli.main`` runs
 in-process with every ``--out`` under ``tmp_path`` and must return 0, 1
 or 2 without raising.  Exit 3 is a falsification alarm and fails the
 test; it is never filtered out.  Sizes stay small by construction
@@ -22,9 +23,10 @@ SEED = 7
 DRAWS = 400
 
 HUGE = "9" * 3000
-# no huge value here: spectrum, max and find gate run-length text before
-# expanding it, but constructions and compose have no size gate yet, so a
-# huge run count or block size would build a huge coloring
+# no huge value here.  Constructions and compose draw run counts and block
+# sizes from HUGE, far above sys.maxsize, which they refuse before building
+# a string.  They have no size gate yet, so a value between 10**6 and
+# sys.maxsize would build a huge coloring: never draw one.
 HOSTILE = ("", " ", "-1", "-7", "0", "x", "1.5", "0R0B", "1R0B1B", "0-0",
            "0-1,0-1", "RBX", ",", "-", "3-", "1e3", "\x00")
 
@@ -69,9 +71,12 @@ def pick(rng, valid):
     return rng.choice(HOSTILE)
 
 
-def coloring_token(rng, high):
+def coloring_token(rng, high, huge=False):
     text = colors(rng, rng.randint(1, high))
-    if rng.random() < 0.3:
+    if huge and rng.random() < 0.1:
+        # one red and one blue run of HUGE points: balanced, unindexable
+        text = f"{HUGE}R {runs(text)} {HUGE}B"
+    elif rng.random() < 0.3:
         text = runs(text)
     if rng.random() < 0.2:
         text = text.lower()
@@ -130,25 +135,29 @@ def draw(rng, tmp_path, index):
                            "witness", "plane"))
         argv.append(pick(rng, kind))
         if kind == "alternating":
-            option(rng, argv, "--n", number(rng, 1, 60))
+            option(rng, argv, "--n", number(rng, 1, 60, huge=True))
         elif kind == "fourblock":
             if rng.random() < 0.5:
                 n = rng.randint(2, 30)
                 r1, b1 = rng.randint(1, n - 1), rng.randint(1, n - 1)
+                if rng.random() < 0.3:
+                    n = int(HUGE)  # the last two blocks become huge
                 sizes = (r1, b1, n - r1, n - b1)
                 option(rng, argv, "--blocks",
                        pick(rng, ",".join(map(str, sizes))))
             else:
-                option(rng, argv, "--coloring", coloring_token(rng, 60))
+                option(rng, argv, "--coloring", coloring_token(rng, 60, True))
         elif kind == "sixblock":
             m, y1, y2 = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+            if rng.random() < 0.3:
+                m = int(HUGE)  # four blocks of about 2 * HUGE points
             sizes = (2 * m + 1 + y1, 2 * m + 1, y2, y1, 2 * m + 1,
                      2 * m + 1 + y2)
             option(rng, argv, "--blocks", pick(rng, ",".join(map(str, sizes))))
         else:
-            option(rng, argv, "--coloring", coloring_token(rng, 60))
+            option(rng, argv, "--coloring", coloring_token(rng, 60, True))
     elif command == "compose":
-        option(rng, argv, "--coloring", coloring_token(rng, 60))
+        option(rng, argv, "--coloring", coloring_token(rng, 60, True))
         option(rng, argv, "--k", number(rng, -2, 400, huge=True))
     elif command == "sweep":
         option(rng, argv, "--n", number(rng, 1, 7, huge=True))
