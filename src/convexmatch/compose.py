@@ -27,6 +27,7 @@ from .errors import (
     TooSmall,
     Unachievable,
     WindowSpectrumGap,
+    brief,
 )
 from .search import find_with_k
 
@@ -106,7 +107,7 @@ def allocate(k: int, ell: int) -> tuple[int, ...]:
         return (0,) * ell
     if k < 0 or k in (1, 2) or k > WINDOW_MAX * ell:
         raise Unachievable(
-            f"k={k} outside {{0}} union [3, {WINDOW_MAX * ell}] "
+            f"k={brief(k)} outside {{0}} union [3, {WINDOW_MAX * ell}] "
             f"for {ell} windows"
         )
     q, r = divmod(k, WINDOW_MAX)

@@ -57,6 +57,7 @@ from .errors import (
     OddN,
     OutOfRange,
     WitnessBelowBound,
+    brief,
 )
 
 
@@ -132,7 +133,7 @@ def alternating_max_matching(n: int) -> tuple[Coloring, Matching]:
     than C(n,2) overall.  Requires even n.
     """
     if n < 2 or n % 2:
-        raise OddN(f"construction needs even n >= 2, got {n}")
+        raise OddN(f"construction needs even n >= 2, got {brief(n)}")
     coloring = alternating_coloring(n)
     pairs = []
     for i in range(n):
@@ -176,13 +177,14 @@ class FourBlockPlan:
 def h_value(n: int, r1: int, b1: int) -> FourBlockPlan:
     """Minimum non-crossing pair count over 4-block maximum matchings."""
     if n < 2:
-        raise OutOfRange(f"need n >= 2, got {n}")
+        raise OutOfRange(f"need n >= 2, got {brief(n)}")
     for name, v in (("r1", r1), ("b1", b1)):
         if not 1 <= v <= n - 1:
-            raise OutOfRange(f"{name}={v} outside 1..{n - 1}")
+            raise OutOfRange(f"{name}={brief(v)} outside 1..{brief(n - 1)}")
         if 2 * v > n:
             raise OutOfRange(
-                f"{name}={v} not normalized: relabel so blocks are <= n/2"
+                f"{name}={brief(v)} not normalized: relabel so "
+                "blocks are <= n/2"
             )
 
     def f(x: int) -> int:
@@ -252,7 +254,7 @@ def balanced_fourblock_bound(n: int) -> BoundBreakdown:
     n mod 4; equivalently (3n^2 - 4n + t) / 8 with t in {0, 1, -4, 1}.
     """
     if n < 1:
-        raise OutOfRange(f"need n >= 1, got {n}")
+        raise OutOfRange(f"need n >= 1, got {brief(n)}")
     m, residue = divmod(n, 4)
     value = {
         0: 6 * m * m - 2 * m,
@@ -310,9 +312,9 @@ def sixblock_witness(m: int, y1: int, y2: int) -> tuple[Coloring, Matching]:
     (2m+1+y1, 2m+1, y2, y1, 2m+1, 2m+1+y2), colors alternating by block.
     """
     if m < 0:
-        raise OutOfRange(f"need m >= 0, got {m}")
+        raise OutOfRange(f"need m >= 0, got {brief(m)}")
     if y1 < 1 or y2 < 1:
-        raise OutOfRange(f"need y1, y2 >= 1, got {y1}, {y2}")
+        raise OutOfRange(f"need y1, y2 >= 1, got {brief(y1)}, {brief(y2)}")
     coloring = _runs_coloring(sixblock_sizes(m, y1, y2))
     blocks = block_profile(coloring).block_positions()
     matching = Matching.from_pairs(_sixblock_joins(blocks, m, y1, y2))

@@ -27,6 +27,7 @@ from .errors import (
     ParseError,
     SharedEndpoint,
     UnbalancedColors,
+    brief,
 )
 
 RED = "R"
@@ -76,7 +77,7 @@ class Coloring:
 def edge(a: int, b: int) -> tuple[int, int]:
     """Normalized edge: endpoint pair with the smaller position first."""
     if a == b:
-        raise SharedEndpoint(f"degenerate edge at position {a}")
+        raise SharedEndpoint(f"degenerate edge at position {brief(a)}")
     return (a, b) if a < b else (b, a)
 
 
@@ -115,7 +116,7 @@ def edges_cross(e1: tuple[int, int], e2: tuple[int, int], size: int) -> bool:
     c, d = e2
     for p in (a, b, c, d):
         if not 0 <= p < size:
-            raise OutOfRange(f"position {p} outside 0..{size - 1}")
+            raise OutOfRange(f"position {brief(p)} outside 0..{size - 1}")
     if a == b or c == d:
         raise SharedEndpoint("edge with two equal endpoints")
     if {a, b} & {c, d}:
@@ -176,7 +177,7 @@ def validate(coloring: Coloring, matching: Matching) -> list[str]:
     for a, b in matching.sorted_edges:
         for p in (a, b):
             if not 0 <= p < size:
-                problems.append(f"position {p} outside 0..{size - 1}")
+                problems.append(f"position {brief(p)} outside 0..{size - 1}")
             elif p in seen:
                 problems.append(f"position {p} used twice")
             else:

@@ -9,6 +9,24 @@ package or the underlying theory is broken.  Alarms must never be caught
 and silenced.
 """
 
+from math import log10
+
+
+def brief(value: int) -> str:
+    """``value`` as text, or its digit count once it has more than 20
+    digits ("a 3000-digit number"), so that a message echoing an int a
+    caller supplied stays short."""
+    size = abs(value)
+    if size < 10**20:
+        return str(value)
+    digits = int(log10(size)) + 1  # float log10 may be one off
+    if 10 ** (digits - 1) > size:
+        digits -= 1
+    elif 10**digits <= size:
+        digits += 1
+    sign = "negative " if value < 0 else ""
+    return f"a {digits}-digit {sign}number"
+
 
 class UsageError(ValueError):
     """Malformed, inconsistent, or out-of-range input."""

@@ -14,18 +14,23 @@ callback its count and its edge mask, bit i * n + j set when red i
 takes blue j, from which ``_Tables.matching`` decodes the witness; a
 search that keeps an incumbent keeps that int.  Crossing counts are
 maintained incrementally through a precomputed crossing-mask table (one
-machine-word bitmask per candidate edge), and a subtree is cut when no
-wanted count fits its completion interval.  That interval is sharp per
-edge: a partial assignment with c crossings so far and r reds left adds
-between 0 and C(r,2) crossings among the r edges still to come, and
-each chosen edge, with aR remaining reds and aB free blues strictly
-inside its chord, is crossed between |aR - aB| and
-min(aR, r - aB) + min(aB, r - aR) more times.  Two index masks per
+n^2-bit int per candidate edge, bit i * n + j for each edge it crosses),
+and a subtree is cut when no wanted count fits its completion interval.
+That interval is sharp per edge: a partial assignment with c crossings
+so far and r reds left adds between 0 and C(r,2) crossings among the r
+edges still to come, and each chosen edge, with aR remaining reds and
+aB free blues strictly inside its chord, is crossed between |aR - aB|
+and min(aR, r - aB) + min(aB, r - aR) more times.  Two index masks per
 candidate edge, its inside reds and its inside blues, make that two
-popcounts per chosen edge.  The search stops as soon as nothing is
-left to want, so ``max_nodes`` counts only the nodes visited before
-then; the kernel counts it down as a plain int and raises
-``BudgetExceeded`` on the node after the last one allowed.
+popcounts per chosen edge.  Only live chords are walked: once aR + aB
+is 0 or 2r, every remaining point lies on one side of the chord, which
+adds nothing from then on and is not handed down the recursion.  With
+one red left the interval is exact, the count of the only completion,
+so the last level is settled in place by its parent.  The search stops
+as soon as nothing is left to want, so ``max_nodes`` counts only the
+nodes visited before then; the kernel counts it down as a plain int and
+raises ``BudgetExceeded`` on the node after the last one allowed, the
+settled last level included.
 
 ``minmax_sweep`` closes the loop with the closed-form bound: it computes
 the minimum over all colorings (one canonical representative per
@@ -70,6 +75,7 @@ from .errors import (
     OutOfRange,
     SizeLimitExceeded,
     SweepMismatch,
+    brief,
 )
 
 DEFAULT_SEARCH_LIMIT = 10
@@ -92,11 +98,11 @@ class SearchBudget:
 
     def __post_init__(self):
         if self.max_nodes is not None and self.max_nodes < 0:
-            raise OutOfRange(f"max_nodes={self.max_nodes} is negative")
+            raise OutOfRange(f"max_nodes={brief(self.max_nodes)} is negative")
         if self.jobs < 1:
-            raise OutOfRange(f"jobs={self.jobs} is below 1")
+            raise OutOfRange(f"jobs={brief(self.jobs)} is below 1")
         if self.max_n is not None and self.max_n < 1:
-            raise OutOfRange(f"max_n={self.max_n} is below 1")
+            raise OutOfRange(f"max_n={brief(self.max_n)} is below 1")
 
 
 _LIMITS = {
@@ -117,11 +123,11 @@ def _check_size(n: int, budget: SearchBudget, kind: str = "search"):
         except ValueError:
             raise OutOfRange(f"{name}={text!r} is not an integer") from None
         if limit < 1:
-            raise OutOfRange(f"{name}={limit} is below 1")
+            raise OutOfRange(f"{name}={brief(limit)} is below 1")
     if n > limit:
         raise SizeLimitExceeded(
-            f"n={n} exceeds {kind} limit {limit}; raise it via "
-            f"SearchBudget(max_n=...) or {name}"
+            f"n={brief(n)} exceeds {kind} limit {brief(limit)}; raise it "
+            f"via SearchBudget(max_n=...) or {name}"
         )
 
 
@@ -209,54 +215,86 @@ def _dfs(
     0 and C(r,2) times, and cross a chosen edge e, with aR remaining
     reds and aB free blues strictly inside its chord, between
     |aR - aB| and min(aR, r - aB) + min(aB, r - aR) times; every
-    completion's count lies in c plus the sums of those bounds.  A leaf
-    with a wanted count calls ``hit(count, chosen)``, where ``chosen``
-    is the leaf's edge mask (bit ``i * n + j`` set when red i takes blue
-    j), and ``hit`` returns the new wanted mask; the search stops once
-    that is 0.
+    completion's count lies in c plus the sums of those bounds.  A chord
+    with aR + aB equal to 0 or 2r has every remaining point on one side,
+    adds 0 to both ends here and in every descendant, and is not handed
+    down: each node walks only the live chords.  With one red left the
+    interval shrinks to the count of the single completion, so a node
+    with two reds left settles each child in place: two popcounts give
+    the leaf's count, and the child's node, and the leaf's when its count
+    is wanted, are spent as if visited.  A leaf with a wanted count calls
+    ``hit(count, chosen)``, where ``chosen`` is the leaf's edge mask (bit
+    ``i * n + j`` set when red i takes blue j), and ``hit`` returns the
+    new wanted mask; the search stops once that is 0.
     """
     n = tables.n
     masks = tables.masks
     reds_in = tables.reds_in
     blues_in = tables.blues_in
-    path = [0] * n  # path[i] is the edge chosen for red i
     # -1 counts down without ever reaching 0: no budget
     left = -1 if max_nodes is None else max_nodes
 
-    def dive(depth: int, used: int, chosen: int, current: int,
-             wanted: int) -> int:
+    def dive(depth: int, free: int, chosen: int, current: int,
+             wanted: int, live: list[int]) -> int:
         nonlocal left
         if not left:
             raise BudgetExceeded("node budget exhausted")
         left -= 1
-        if depth == n:
+        if depth == n:  # only at n = 1: deeper leaves are settled in place
             return hit(current, chosen) if wanted >> current & 1 else wanted
         r = n - depth
+        span = 2 * r
         low = current
         high = current + r * (r - 1) // 2
-        free = ~used
-        for e in path[:depth]:
+        kept = []
+        for e in live:
             red = (reds_in[e] >> depth).bit_count()
             blue = (blues_in[e] & free).bit_count()
-            low += red - blue if red > blue else blue - red
             both = red + blue
-            high += both if both <= r else 2 * r - both
+            if both and both != span:
+                low += red - blue if red > blue else blue - red
+                high += both if both <= r else span - both
+                kept.append(e)
         # cut unless a wanted count lies in low..high
         if not wanted >> low & ((2 << (high - low)) - 1):
             return wanted
         base = depth * n
-        for j in range(n):
-            jbit = 1 << j
-            if used & jbit:
-                continue
-            e = path[depth] = base + j
-            wanted = dive(depth + 1, used | jbit, chosen | (1 << e),
-                          current + (masks[e] & chosen).bit_count(), wanted)
+        if r == 2:
+            # red depth takes one free blue, red depth + 1 the other, and
+            # the child's interval is that leaf's count
+            first = free & -free
+            ends = ((first, free ^ first), (free ^ first, first))
+            for jbit, last in ends:
+                e = base + jbit.bit_length() - 1
+                step = chosen | 1 << e
+                f = base + n + last.bit_length() - 1
+                count = (current + (masks[e] & chosen).bit_count()
+                         + (masks[f] & step).bit_count())
+                if not left:
+                    raise BudgetExceeded("node budget exhausted")
+                left -= 1
+                if wanted >> count & 1:
+                    if not left:
+                        raise BudgetExceeded("node budget exhausted")
+                    left -= 1
+                    wanted = hit(count, step | 1 << f)
+                    if not wanted:
+                        break
+            return wanted
+        kept.append(0)  # the child's own edge goes in this slot
+        rest = free
+        while rest:
+            jbit = rest & -rest
+            rest ^= jbit
+            e = kept[-1] = base + jbit.bit_length() - 1
+            wanted = dive(depth + 1, free ^ jbit, chosen | 1 << e,
+                          current + (masks[e] & chosen).bit_count(),
+                          wanted, kept)
             if not wanted:
                 break
         return wanted
 
-    dive(0, 0, 0, 0, wanted)
+    dive(0, (1 << n) - 1, 0, 0, wanted, [])
 
 
 def spectrum(coloring: Coloring, budget: SearchBudget | None = None) -> Spectrum:
@@ -365,7 +403,7 @@ def enumerate_colorings(n: int) -> list[Coloring]:
     in sorted order.
     """
     if n < 1:
-        raise OutOfRange(f"need n >= 1, got {n}")
+        raise OutOfRange(f"need n >= 1, got {brief(n)}")
     size = 2 * n
     reps = []
     for blue_positions in combinations(range(1, size - 1), n - 1):

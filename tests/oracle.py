@@ -1,13 +1,19 @@
 """Brute-force reference implementations used to cross-check the package.
 
-Nothing here imports the package under test.  Matchings are enumerated
-through permutations, crossings through pairwise interleaving, and
-symmetry through string rotation, so any agreement with the library is
-evidence rather than tautology.  Sizes must stay small: all_matchings
-is n! and colorings(n) is C(2n, n).
+Nothing here imports the package under test, apart from the exception
+``reference_dfs`` raises.  Matchings are enumerated through permutations,
+crossings through pairwise interleaving, and symmetry through string
+rotation, so any agreement with the library is evidence rather than
+tautology.  Sizes must stay small: all_matchings is n! and colorings(n)
+is C(2n, n).  ``reference_dfs`` is the slow path of the search kernel:
+it walks every chosen chord at every node and visits the last level
+node by node, and the kernel must make the same calls and spend the
+same nodes.
 """
 
 from itertools import combinations, permutations
+
+from convexmatch.errors import BudgetExceeded
 
 SWAP = str.maketrans("RB", "BR")
 
@@ -75,3 +81,51 @@ def min_max(n):
     per_rep = {rep: maximum(rep) for rep in canonical_reps(n)}
     low = min(per_rep.values())
     return low, sorted(rep for rep, v in per_rep.items() if v == low)
+
+
+def reference_dfs(tables, wanted, max_nodes, hit):
+    """``search._dfs`` before live chords and the in-place last level,
+    verbatim apart from returning the number of nodes it visited."""
+    n = tables.n
+    masks = tables.masks
+    reds_in = tables.reds_in
+    blues_in = tables.blues_in
+    path = [0] * n  # path[i] is the edge chosen for red i
+    # -1 counts down without ever reaching 0: no budget
+    left = -1 if max_nodes is None else max_nodes
+
+    def dive(depth: int, used: int, chosen: int, current: int,
+             wanted: int) -> int:
+        nonlocal left
+        if not left:
+            raise BudgetExceeded("node budget exhausted")
+        left -= 1
+        if depth == n:
+            return hit(current, chosen) if wanted >> current & 1 else wanted
+        r = n - depth
+        low = current
+        high = current + r * (r - 1) // 2
+        free = ~used
+        for e in path[:depth]:
+            red = (reds_in[e] >> depth).bit_count()
+            blue = (blues_in[e] & free).bit_count()
+            low += red - blue if red > blue else blue - red
+            both = red + blue
+            high += both if both <= r else 2 * r - both
+        # cut unless a wanted count lies in low..high
+        if not wanted >> low & ((2 << (high - low)) - 1):
+            return wanted
+        base = depth * n
+        for j in range(n):
+            jbit = 1 << j
+            if used & jbit:
+                continue
+            e = path[depth] = base + j
+            wanted = dive(depth + 1, used | jbit, chosen | (1 << e),
+                          current + (masks[e] & chosen).bit_count(), wanted)
+            if not wanted:
+                break
+        return wanted
+
+    dive(0, 0, 0, 0, wanted)
+    return (-1 if max_nodes is None else max_nodes) - left

@@ -14,7 +14,7 @@ from convexmatch.cli import (
     parse_matching,
     render_svg,
 )
-from convexmatch.errors import InvalidMatching, ParseError
+from convexmatch.errors import InvalidMatching, ParseError, brief
 
 
 def run_json(capsys, argv):
@@ -74,6 +74,23 @@ def test_exit_codes(capsys):
     ):
         assert main(argv) == 2, argv
     capsys.readouterr()
+    # messages name a 3000-digit argument by its length, not in full
+    huge = "9" * 3000
+    for argv, code in (
+        (["construct", "alternating", "--n", huge], 2),
+        (["compose", "--coloring", "RBRBRBRBRBRBRB", "--k", huge], 1),
+        (["sweep", "--n", huge], 2),
+        (["spectrum", "--coloring", "RRBB", "--max-nodes", "-" + huge], 2),
+    ):
+        assert main(argv) == code, argv[:-1]
+        assert len(capsys.readouterr().err.encode()) < 300, argv[:-1]
+
+
+def test_brief_names_long_ints_by_digit_count():
+    assert brief(-(10**20 - 1)) == "-" + "9" * 20
+    assert brief(10**20) == "a 21-digit number"
+    assert brief(-int("9" * 3000)) == "a 3000-digit negative number"
+    assert brief(10**5000) == "a 5001-digit number"
 
 
 def test_bad_budgets_are_usage_errors(capsys, monkeypatch):

@@ -4,7 +4,10 @@ Each draw picks a subcommand and fills its options from the grammar with
 valid, mutated or hostile tokens: empty strings, negative numbers,
 zero-length runs, repeated edges, unknown formats, a 3000-digit ``--n``
 for ``bound``, 3000-digit run counts and block sizes for constructions
-and ``compose``, and ``--out`` into a missing directory.  ``cli.main`` runs
+and ``compose``, and ``--out`` into a missing directory.  Searches on
+colorings with n <= 4 often get a ``--max-nodes`` of 0..60, so that the
+budget sometimes runs out inside the last level, which ``_dfs`` settles
+in place.  ``cli.main`` runs
 in-process with every ``--out`` under ``tmp_path`` and must return 0, 1
 or 2 without raising.  Exit 3 is a falsification alarm and fails the
 test; it is never filtered out.  Sizes stay small by construction
@@ -71,8 +74,8 @@ def pick(rng, valid):
     return rng.choice(HOSTILE)
 
 
-def coloring_token(rng, high, huge=False):
-    text = colors(rng, rng.randint(1, high))
+def coloring_token(rng, n, huge=False):
+    text = colors(rng, n)
     if huge and rng.random() < 0.1:
         # one red and one blue run of HUGE points: balanced, unindexable
         text = f"{HUGE}R {runs(text)} {HUGE}B"
@@ -122,11 +125,15 @@ def draw(rng, tmp_path, index):
                           "compose", "sweep", "atlas", "render"))
     argv = [command]
     if command in ("spectrum", "max", "find"):
-        high = 8 if command == "spectrum" else 11
-        option(rng, argv, "--coloring", coloring_token(rng, high))
+        n = rng.randint(1, 8 if command == "spectrum" else 11)
+        option(rng, argv, "--coloring", coloring_token(rng, n))
         if command == "find":
             option(rng, argv, "--k", number(rng, -2, 30, huge=True))
-        if rng.random() < 0.4:
+        if n <= 4 and rng.random() < 0.5:
+            # small enough that the budget often runs out in the last
+            # level, which the search settles in place
+            argv += ["--max-nodes", number(rng, 0, 60)]
+        elif rng.random() < 0.4:
             argv += ["--max-nodes", number(rng, 0, 200)]
     elif command == "bound":
         option(rng, argv, "--n", number(rng, 1, 10**6, huge=True))
@@ -146,7 +153,8 @@ def draw(rng, tmp_path, index):
                 option(rng, argv, "--blocks",
                        pick(rng, ",".join(map(str, sizes))))
             else:
-                option(rng, argv, "--coloring", coloring_token(rng, 60, True))
+                option(rng, argv, "--coloring",
+                       coloring_token(rng, rng.randint(1, 60), True))
         elif kind == "sixblock":
             m, y1, y2 = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
             if rng.random() < 0.3:
@@ -155,9 +163,11 @@ def draw(rng, tmp_path, index):
                      2 * m + 1 + y2)
             option(rng, argv, "--blocks", pick(rng, ",".join(map(str, sizes))))
         else:
-            option(rng, argv, "--coloring", coloring_token(rng, 60, True))
+            option(rng, argv, "--coloring",
+                   coloring_token(rng, rng.randint(1, 60), True))
     elif command == "compose":
-        option(rng, argv, "--coloring", coloring_token(rng, 60, True))
+        option(rng, argv, "--coloring",
+               coloring_token(rng, rng.randint(1, 60), True))
         option(rng, argv, "--k", number(rng, -2, 400, huge=True))
     elif command == "sweep":
         option(rng, argv, "--n", number(rng, 1, 7, huge=True))

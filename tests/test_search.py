@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from math import comb
 
 import pytest
 
@@ -30,6 +31,7 @@ from convexmatch.errors import (
     WitnessBelowBound,
 )
 from convexmatch.search import (
+    _dfs,
     _max_search,
     _sweep_job,
     _Tables,
@@ -428,3 +430,84 @@ def test_max_crossing_nodes_on_fourblock_minimizers():
         assert got == value == balanced_fourblock_bound(col.n).value
         with pytest.raises(BudgetExceeded):
             max_crossing(col, SearchBudget(max_nodes=nodes - 1, max_n=12))
+
+
+def wanted_rules(n, k):
+    """The three ways a search wants counts, as (wanted, rule) pairs:
+    ``rule(wanted, count)`` is the mask ``hit`` returns after a hit.
+    Every count (spectrum), counts above the incumbent (the maximum) and
+    the single count k (find)."""
+    every = (1 << comb(n, 2) + 1) - 1
+    return (
+        (every, lambda wanted, count: wanted & ~(1 << count)),
+        (every, lambda wanted, count: every >> (count + 1) << (count + 1)),
+        (1 << k, lambda wanted, count: 0),
+    )
+
+
+def recorder(wanted, rule):
+    """A hit callback that follows ``rule`` and logs its calls."""
+    calls = []
+
+    def hit(count, chosen):
+        nonlocal wanted
+        calls.append((count, chosen))
+        wanted = rule(wanted, count)
+        return wanted
+
+    return calls, hit
+
+
+def run_kernel(kernel, tables, wanted, rule, max_nodes):
+    """The hit calls of one run, and whether it ran out of nodes."""
+    calls, hit = recorder(wanted, rule)
+    try:
+        kernel(tables, wanted, max_nodes, hit)
+    except BudgetExceeded:
+        return calls, True
+    return calls, False
+
+
+def test_dfs_matches_reference_kernel():
+    # same hits, and the same budget boundary: the kernel completes on
+    # the reference's node count and runs out one node below it
+    rng = random.Random(113)
+    cases = [c for n in range(1, 7) for c in oracle.colorings(n)]
+    for _ in range(30):
+        n = rng.randint(7, 9)
+        colors = ["R"] * n + ["B"] * n
+        rng.shuffle(colors)
+        cases.append("".join(colors))
+    for index, colors in enumerate(cases):
+        tables = _Tables(Coloring(colors))
+        k = index % (comb(tables.n, 2) + 2)
+        for wanted, rule in wanted_rules(tables.n, k):
+            expected, hit = recorder(wanted, rule)
+            nodes = oracle.reference_dfs(tables, wanted, None, hit)
+            assert run_kernel(_dfs, tables, wanted, rule, nodes) == (
+                expected, False), colors
+            calls, out = run_kernel(_dfs, tables, wanted, rule, nodes - 1)
+            assert out and calls == expected[:len(calls)], colors
+
+
+def test_dfs_budgets_at_the_root_level_match_reference():
+    # n <= 2: the root itself settles the last red, so every budget runs
+    # out inside or right after the in-place level
+    for colors in (*oracle.colorings(1), *oracle.colorings(2)):
+        tables = _Tables(Coloring(colors))
+        for k in range(3):
+            for wanted, rule in wanted_rules(tables.n, k):
+                for max_nodes in range(7):
+                    assert run_kernel(_dfs, tables, wanted, rule,
+                                      max_nodes) == run_kernel(
+                        oracle.reference_dfs, tables, wanted, rule,
+                        max_nodes), (colors, k, max_nodes)
+
+
+def test_spectrum_nodes_on_alternating_ten():
+    # 73,645 of these nodes only prove that 1 and 2 crossings are missing
+    col = Coloring("RB" * 10)
+    spec = spectrum(col, SearchBudget(max_nodes=75_137))
+    assert spec.missing == (1, 2, 41, 42, 43, 44, 45)
+    with pytest.raises(BudgetExceeded):
+        spectrum(col, SearchBudget(max_nodes=75_136))
