@@ -42,8 +42,19 @@ from .errors import (
     OutOfRange,
     ParseError,
     UsageError,
+    brief_text,
 )
-from .search import SearchBudget, _check_size, enumerate_colorings, find_with_k, max_crossing, minmax_sweep, spectrum
+from .search import (
+    SearchBudget,
+    _check_size,
+    _first_hits,
+    _Tables,
+    enumerate_colorings,
+    find_with_k,
+    max_crossing,
+    minmax_sweep,
+    spectrum,
+)
 
 _RUN_TOKEN = re.compile(r"(\d+)([RBrb])")
 
@@ -199,14 +210,15 @@ def _is_row(row) -> bool:
     )
 
 
-def _read_journal(path: str) -> dict[str, dict]:
-    """Rows of an atlas journal, keyed by coloring.
+def _read_journal(path: str, n: int) -> dict[str, dict]:
+    """Rows of an atlas journal for n, keyed by coloring.
 
     A line is a row only when ``_is_row`` accepts its JSON.  A write cut
     short leaves a last line that is not a row or lacks its newline.
     That line is dropped and the file truncated to the end of the last
     complete line, so the next row starts on a line of its own.  Any
-    earlier line that is not a row is corruption and raises.
+    earlier line that is not a row is corruption and raises, and so is
+    any complete row for another n or with a coloring not 2n long.
     """
     done: dict[str, dict] = {}
     with open(path, "rb") as handle:
@@ -227,6 +239,10 @@ def _read_journal(path: str) -> dict[str, dict]:
                 break
             if last and not line.endswith(b"\n"):
                 break
+            if row["n"] != n or len(row["coloring"]) != 2 * n:
+                raise CorruptJournal(
+                    f"{path} line {number} is not a row for n={n}"
+                )
             done[row["coloring"]] = row
         complete += len(line)
     if complete < sum(len(line) for line in lines):
@@ -247,7 +263,9 @@ def atlas(n: int, out_path: str, budget: SearchBudget | None = None) -> dict:
     """Spectrum atlas over all orbits: CSV rows plus a JSON summary.
 
     Each orbit's size is the number of distinct images in the one scan
-    of its canonical coloring under the symmetry group.  Progress is
+    of its canonical coloring under the symmetry group.  Its counts come
+    from the spectrum search's ``_first_hits``, whose witness masks are
+    never decoded: the atlas writes no matching.  Progress is
     journaled per canonical coloring next to the output file, so an
     interrupted run resumes where it stopped, even after a torn last
     write; the journal is removed once the CSV and sidecar have been
@@ -257,13 +275,14 @@ def atlas(n: int, out_path: str, budget: SearchBudget | None = None) -> dict:
     budget = budget or SearchBudget()
     _check_size(n, budget)
     journal_path = out_path + ".journal"
-    done = _read_journal(journal_path) if os.path.exists(journal_path) else {}
+    done = (_read_journal(journal_path, n)
+            if os.path.exists(journal_path) else {})
     reps = enumerate_colorings(n)
     with open(journal_path, "a", encoding="utf-8") as journal:
         for rep in reps:
             if rep.colors in done:
                 continue
-            achievable = spectrum(rep, budget).achievable
+            achievable = sorted(_first_hits(_Tables(rep), budget.max_nodes))
             low = achievable[0]
             high = achievable[-1]
             missing = [v for v in range(low, high + 1) if v not in achievable]
@@ -305,6 +324,17 @@ def atlas(n: int, out_path: str, budget: SearchBudget | None = None) -> dict:
 
 
 # --- subcommand handlers ----------------------------------------------------
+
+
+def _int(text: str) -> int:
+    """An int option's value; text that does not convert is quoted only
+    while it is short, else named by its length."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {brief_text(text)}"
+        ) from None
 
 
 def _budget(ns) -> SearchBudget:
@@ -517,32 +547,32 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="all achievable crossing numbers")
     sp.set_defaults(run=_cmd_spectrum)
     sp.add_argument("--coloring", required=True)
-    sp.add_argument("--max-nodes", type=int, dest="max_nodes")
+    sp.add_argument("--max-nodes", type=_int, dest="max_nodes")
     common(sp)
 
     sp = sub.add_parser("max", help="exhaustive maximum crossing number")
     sp.set_defaults(run=_cmd_max)
     sp.add_argument("--coloring", required=True)
-    sp.add_argument("--max-nodes", type=int, dest="max_nodes")
+    sp.add_argument("--max-nodes", type=_int, dest="max_nodes")
     common(sp)
 
     sp = sub.add_parser("bound", help="closed-form min-max crossing bound")
     sp.set_defaults(run=_cmd_bound)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_int, required=True)
     common(sp)
 
     sp = sub.add_parser("find", help="matching with exactly k crossings")
     sp.set_defaults(run=_cmd_find)
     sp.add_argument("--coloring", required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--max-nodes", type=int, dest="max_nodes")
+    sp.add_argument("--k", type=_int, required=True)
+    sp.add_argument("--max-nodes", type=_int, dest="max_nodes")
     common(sp)
 
     sp = sub.add_parser("construct", help="named matching constructions")
     sp.set_defaults(run=_cmd_construct)
     kinds = sp.add_subparsers(dest="kind", required=True)
     k = kinds.add_parser("alternating", help="maximum on alternating colors")
-    k.add_argument("--n", type=int, required=True)
+    k.add_argument("--n", type=_int, required=True)
     common(k)
     k = kinds.add_parser("fourblock", help="exact maximum on four blocks")
     given = k.add_mutually_exclusive_group(required=True)
@@ -563,19 +593,19 @@ def _build_parser() -> argparse.ArgumentParser:
                                         "via 14-point windows")
     sp.set_defaults(run=_cmd_compose)
     sp.add_argument("--coloring", required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_int, required=True)
     common(sp)
 
     sp = sub.add_parser("sweep", help="min over orbits of max crossings")
     sp.set_defaults(run=_cmd_sweep)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--n", type=_int, required=True)
+    sp.add_argument("--jobs", type=_int, default=1)
     common(sp)
 
     sp = sub.add_parser("atlas", help="per-orbit spectrum atlas (CSV)")
     sp.set_defaults(run=_cmd_atlas)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--max-nodes", type=int, dest="max_nodes")
+    sp.add_argument("--n", type=_int, required=True)
+    sp.add_argument("--max-nodes", type=_int, dest="max_nodes")
     common(sp)
 
     sp = sub.add_parser("render", help="SVG picture of a matching")

@@ -28,6 +28,15 @@ def brief(value: int) -> str:
     return f"a {digits}-digit {sign}number"
 
 
+def brief_text(text: str) -> str:
+    """``text`` quoted, or its length once it runs past 20 characters
+    ("a 5000-character text"), so that a message echoing text a caller
+    supplied stays short."""
+    if len(text) <= 20:
+        return repr(text)
+    return f"a {len(text)}-character text"
+
+
 class UsageError(ValueError):
     """Malformed, inconsistent, or out-of-range input."""
 

@@ -1,18 +1,21 @@
 """Brute-force reference implementations used to cross-check the package.
 
 Nothing here imports the package under test, apart from the exception
-``reference_dfs`` raises.  Matchings are enumerated through permutations,
-crossings through pairwise interleaving, and symmetry through string
-rotation, so any agreement with the library is evidence rather than
-tautology.  Sizes must stay small: all_matchings is n! and colorings(n)
-is C(2n, n).  ``reference_dfs`` is the slow path of the search kernel:
+``reference_dfs`` raises and the ``Coloring`` and ``is_canonical`` that
+``reference_colorings`` filters with.  Matchings are enumerated through
+permutations, crossings through pairwise interleaving, and symmetry
+through string rotation, so any agreement with the library is evidence
+rather than tautology.  Sizes must stay small: all_matchings is n! and
+colorings(n) is C(2n, n).  ``reference_dfs`` is the slow path of the search kernel:
 it walks every chosen chord at every node and visits the last level
 node by node, and the kernel must make the same calls and spend the
-same nodes.
+same nodes.  ``reference_colorings`` is the slow path of the orbit
+enumeration, and ``burnside_orbits`` counts the orbits independently.
 """
 
 from itertools import combinations, permutations
 
+from convexmatch.core import BLUE, RED, Coloring, is_canonical
 from convexmatch.errors import BudgetExceeded
 
 SWAP = str.maketrans("RB", "BR")
@@ -74,6 +77,65 @@ def canonical(coloring):
 
 def canonical_reps(n):
     return sorted({canonical(c) for c in colorings(n)})
+
+
+def reference_colorings(n):
+    """``search.enumerate_colorings`` before the necklace generator:
+    every string that starts with B and ends with R, filtered through
+    ``is_canonical``, verbatim apart from the range check."""
+    size = 2 * n
+    reps = []
+    for blue_positions in combinations(range(1, size - 1), n - 1):
+        chars = [RED] * size
+        chars[0] = BLUE
+        for p in blue_positions:
+            chars[p] = BLUE
+        colors = "".join(chars)
+        if is_canonical(colors):
+            reps.append(colors)
+    return [Coloring(c) for c in reps]
+
+
+def _cycle_lengths(perm):
+    seen = set()
+    lengths = []
+    for start in range(len(perm)):
+        length = 0
+        at = start
+        while at not in seen:
+            seen.add(at)
+            at = perm[at]
+            length += 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def burnside_orbits(n):
+    """Orbit count of the balanced colorings of 2n points under rotation,
+    reflection and colour swap, by Burnside's lemma.
+
+    A rotation or reflection fixes the colorings that are constant on its
+    cycles and have n reds: the subsets of cycles whose lengths sum to
+    n.  Composed with the colour swap it fixes the colorings that
+    alternate along every cycle: 2^cycles when every cycle is even, else
+    none.
+    """
+    size = 2 * n
+    perms = [[(r + i) % size for i in range(size)] for r in range(size)]
+    perms += [[(r - i) % size for i in range(size)] for r in range(size)]
+    fixed = 0
+    for perm in perms:
+        lengths = _cycle_lengths(perm)
+        sums = [1] + [0] * n  # sums[s]: subsets of cycles of total length s
+        for length in lengths:
+            for s in range(n, length - 1, -1):
+                sums[s] += sums[s - length]
+        fixed += sums[n]
+        if all(length % 2 == 0 for length in lengths):
+            fixed += 2 ** len(lengths)
+    assert fixed % (2 * len(perms)) == 0
+    return fixed // (2 * len(perms))
 
 
 def min_max(n):

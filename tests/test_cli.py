@@ -52,7 +52,7 @@ def test_matching_text_roundtrip():
 # ------------------------------------------------------------- exit codes
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, monkeypatch):
     assert main(["bound", "--n", "8"]) == 0
     assert main(["find", "--coloring", "RBRB", "--k", "1"]) == 1
     assert main(["construct", "alternating", "--n", "3"]) == 2
@@ -84,6 +84,26 @@ def test_exit_codes(capsys):
     ):
         assert main(argv) == code, argv[:-1]
         assert len(capsys.readouterr().err.encode()) < 300, argv[:-1]
+    # past the interpreter's 4300-digit limit int() refuses the text, and
+    # it is named by its length too
+    over = "9" * 5000
+    for argv in (
+        ["bound", "--n", over],
+        ["spectrum", "--coloring", "RRBB", "--max-nodes", over],
+    ):
+        assert main(argv) == 2, argv[:-1]
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 300, argv[:-1]
+        assert "invalid int value: a 5000-character text" in err
+    monkeypatch.setenv("CONVEXMATCH_MAX_N", over)
+    assert main(["spectrum", "--coloring", "RRBB"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 300
+    assert "CONVEXMATCH_MAX_N=a 5000-character text is not an integer" in err
+    monkeypatch.delenv("CONVEXMATCH_MAX_N")
+    # short text that does not convert is still quoted in full
+    assert main(["bound", "--n", "abc"]) == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
 
 
 def test_brief_names_long_ints_by_digit_count():
@@ -367,7 +387,7 @@ def _interrupted_atlas(monkeypatch, n, out, rows):
     """Run atlas until it has journaled ``rows`` more rows."""
     import convexmatch.cli as cli
 
-    real = cli.spectrum
+    real = cli._first_hits
     calls = []
 
     def stopping(*args):
@@ -376,10 +396,10 @@ def _interrupted_atlas(monkeypatch, n, out, rows):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cli, "spectrum", stopping)
+    monkeypatch.setattr(cli, "_first_hits", stopping)
     with pytest.raises(KeyboardInterrupt):
         atlas(n, str(out))
-    monkeypatch.setattr(cli, "spectrum", real)
+    monkeypatch.setattr(cli, "_first_hits", real)
 
 
 def test_atlas_resumes_after_torn_journal(tmp_path, monkeypatch):
@@ -435,25 +455,80 @@ def test_atlas_rejects_corrupt_journal(tmp_path, capsys):
         assert [p.name for p in tmp_path.iterdir()] == ["atlas.csv.journal"]
 
 
+def test_atlas_journal_for_another_n_is_refused(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    journal = tmp_path / "b.csv.journal"
+    row = {"n": 2, "coloring": "BBRR", "orbit_size": 4, "max_crossings": 1,
+           "spectrum_min": 0, "spectrum_max": 1, "missing_values": []}
+    for bad in (
+        {**row, "n": 99, "max_crossings": 0, "spectrum_max": 0},
+        {**row, "coloring": "BBBRRR"},  # right n, coloring not 2n long
+    ):
+        # as the only line and as the last one, with its newline
+        for text in (json.dumps(bad) + "\n",
+                     json.dumps({**row, "coloring": "BRBR"}) + "\n"
+                     + json.dumps(bad) + "\n"):
+            journal.write_text(text)
+            assert main(["atlas", "--n", "2", "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("error:")
+            assert [p.name for p in tmp_path.iterdir()] == ["b.csv.journal"]
+
+
 def test_atlas_rows_agree_with_library(tmp_path):
     import csv as csv_module
 
-    from convexmatch import all_symmetries, max_crossing, spectrum
+    from convexmatch import (
+        all_symmetries,
+        enumerate_colorings,
+        max_crossing,
+        spectrum,
+    )
 
-    out = tmp_path / "atlas3.csv"
-    atlas(3, str(out))
-    with open(out, newline="") as handle:
-        rows = list(csv_module.DictReader(handle))
-    assert len(rows) == 3
-    for row in rows:
-        col = Coloring(row["coloring"])
-        spec = spectrum(col)
-        value, _ = max_crossing(col)
-        assert int(row["max_crossings"]) == value
-        assert int(row["spectrum_min"]) == spec.achievable[0]
-        assert int(row["spectrum_max"]) == spec.achievable[-1]
-        orbit = {sym.apply(col).colors for sym in all_symmetries(col.size)}
-        assert int(row["orbit_size"]) == len(orbit)
+    for n in range(2, 7):
+        out = tmp_path / f"atlas{n}.csv"
+        atlas(n, str(out))
+        with open(out, newline="") as handle:
+            rows = list(csv_module.DictReader(handle))
+        reps = enumerate_colorings(n)
+        assert [row["coloring"] for row in rows] == [c.colors for c in reps]
+        for row in rows:
+            col = Coloring(row["coloring"])
+            achievable = spectrum(col).achievable
+            value, _ = max_crossing(col)
+            low, high = achievable[0], achievable[-1]
+            missing = [k for k in range(low, high + 1)
+                       if k not in achievable]
+            orbit = {s.apply(col).colors for s in all_symmetries(col.size)}
+            assert row == {
+                "n": str(n),
+                "coloring": col.colors,
+                "orbit_size": str(len(orbit)),
+                "max_crossings": str(value),
+                "spectrum_min": str(low),
+                "spectrum_max": str(high),
+                "missing_values": ";".join(map(str, missing)),
+            }
+
+
+def test_atlas_budget_agrees_with_spectrum(tmp_path):
+    from convexmatch import SearchBudget, enumerate_colorings, spectrum
+    from convexmatch.errors import BudgetExceeded
+
+    def runs_out(search, *args):
+        try:
+            search(*args)
+        except BudgetExceeded:
+            return True
+        return False
+
+    for n in range(1, 5):
+        reps = enumerate_colorings(n)
+        for k in range(41):
+            budget = SearchBudget(max_nodes=k)
+            out = str(tmp_path / f"atlas{n}-{k}.csv")
+            assert runs_out(atlas, n, out, budget) == any(
+                runs_out(spectrum, rep, budget) for rep in reps
+            ), (n, k)
 
 
 # ----------------------------------------------------------------- render

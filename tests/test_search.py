@@ -32,6 +32,7 @@ from convexmatch.errors import (
 )
 from convexmatch.search import (
     _dfs,
+    _first_hits,
     _max_search,
     _sweep_job,
     _Tables,
@@ -87,6 +88,37 @@ def test_spectrum_budget_partial():
     assert set(spec.achievable) == full
 
 
+def test_spectrum_decodes_first_hits_in_hit_order():
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        colors = list("R" * n + "B" * n)
+        rng.shuffle(colors)
+        col = Coloring("".join(colors))
+        tables = _Tables(col)
+        found = _first_hits(tables, None)
+        spec = spectrum(col)
+        assert list(spec.witnesses) == list(found)
+        assert spec.achievable == tuple(sorted(found))
+        for k, chosen in found.items():
+            assert spec.witnesses[k] == tables.matching(chosen)
+        # a budget cut hands back the same prefix, decoded or not
+        for max_nodes in (0, 3, 17):
+            try:
+                _first_hits(tables, max_nodes)
+            except BudgetExceeded as out:
+                masks = out.partial
+            else:
+                assert spectrum(col, SearchBudget(max_nodes=max_nodes)) == spec
+                continue
+            with pytest.raises(BudgetExceeded) as decoded:
+                spectrum(col, SearchBudget(max_nodes=max_nodes))
+            partial = decoded.value.partial
+            assert not partial.complete
+            assert list(partial.witnesses) == list(masks)
+            assert list(masks.items()) == list(found.items())[:len(masks)]
+
+
 def test_max_crossing_frozen():
     value, matching = max_crossing(Coloring("RB" + "R" * 7 + "B" * 7))
     assert value == 27
@@ -134,6 +166,19 @@ def test_enumerate_colorings():
         assert [str(c) for c in reps] == oracle.canonical_reps(n)
     with pytest.raises(OutOfRange):
         enumerate_colorings(0)
+
+
+def test_enumerate_colorings_matches_reference_filter():
+    for n in range(1, 11):
+        got = [c.colors for c in enumerate_colorings(n)]
+        assert got == [c.colors for c in oracle.reference_colorings(n)], n
+
+
+def test_orbit_counts_match_burnside():
+    for n in range(1, 12):
+        assert len(enumerate_colorings(n)) == oracle.burnside_orbits(n), n
+    assert oracle.burnside_orbits(11) == 8359
+    assert len(enumerate_colorings(12)) == oracle.burnside_orbits(12) == 28968
 
 
 def test_minmax_sweep_frozen():
