@@ -45,7 +45,6 @@ from .core import (
     crossing_number,
     edge,
     edges_cross,
-    is_canonical,
     validate,
 )
 from .errors import (
@@ -105,7 +104,6 @@ __all__ = [
     "find_with_k",
     "fourblock_max_matching",
     "h_value",
-    "is_canonical",
     "lemma3_witness",
     "max_crossing",
     "minmax_sweep",

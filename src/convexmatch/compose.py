@@ -66,32 +66,47 @@ class AchievableRange:
 def window_partition(coloring: Coloring) -> CompositionPlan:
     """Disjoint balanced 14-point windows plus a balanced remainder.
 
-    Repeatedly scans the residual cyclic sequence, anchored at its
-    smallest remaining position, and excises the first balanced window of
-    14 consecutive residual points.  Stops once fewer than 14 points
+    Repeatedly excises the first balanced window of 14 consecutive
+    points of the residual cyclic sequence, the points not yet cut, kept
+    in clockwise order from position 0.  Stops once fewer than 14 points
     remain.
+
+    One sliding scan finds every window.  It keeps the red count of the
+    14 residual points from index t on, and steps t by adding the point
+    that enters and dropping the one that leaves.  After the window at
+    index t is cut, the scan resumes at t - 13 (or 0), not at 0: every
+    earlier start was unbalanced, and a window that starts 14 or more
+    places before the cut lies wholly before it, so it is unchanged and
+    still unbalanced.  A window that wraps past the end of the residual
+    leaves the middle slice, which starts afresh at 0.
     """
     if coloring.n < 7:
         raise TooSmall(f"need n >= 7 to cut a window, got n={coloring.n}")
-    colors = coloring.colors
+    red = [c == RED for c in coloring.colors]
     residual = list(range(coloring.size))
     windows = []
+    t = 0  # every start before t is known to be unbalanced
     while len(residual) >= WINDOW_POINTS:
         m = len(residual)
-        window = None
-        for t in range(m):
-            picked = [residual[(t + i) % m] for i in range(WINDOW_POINTS)]
-            reds = sum(1 for p in picked if colors[p] == RED)
-            if 2 * reds == WINDOW_POINTS:
-                window = picked
-                break
-        if window is None:
-            raise NoBalancedWindow(
-                f"residual of {m} points has no balanced window: {coloring}"
-            )
-        windows.append(tuple(window))
-        gone = set(window)
-        residual = [p for p in residual if p not in gone]
+        reds = sum(red[residual[(t + i) % m]] for i in range(WINDOW_POINTS))
+        while 2 * reds != WINDOW_POINTS:
+            reds += red[residual[(t + WINDOW_POINTS) % m]] - red[residual[t]]
+            t += 1
+            if t == m:
+                raise NoBalancedWindow(
+                    f"residual of {m} points has no balanced window: "
+                    f"{coloring}"
+                )
+        end = t + WINDOW_POINTS
+        if end <= m:
+            windows.append(tuple(residual[t:end]))
+            del residual[t:end]
+            t = max(0, t - WINDOW_POINTS + 1)
+        else:
+            end -= m
+            windows.append(tuple(residual[t:] + residual[:end]))
+            residual = residual[end:t]
+            t = 0
     return CompositionPlan(tuple(windows), tuple(residual))
 
 
@@ -101,7 +116,7 @@ def allocate(k: int, ell: int) -> tuple[int, ...]:
     Larger targets come first.  Writing k = 15q + r: r = 0 uses q
     fifteens; r >= 3 appends one window of r; r in {1, 2} borrows from a
     fifteen to form 13 + 3 or 14 + 3.  Exactly k in {1, 2} (and k < 0 or
-    k > 15*ell) is unachievable.
+    k > 15*ell) has no allocation.
     """
     if k == 0:
         return (0,) * ell

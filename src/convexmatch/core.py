@@ -12,13 +12,14 @@ of red points to blue points by straight segments.  Two colorings that
 differ by rotation, reflection, or swapping the color classes behave
 identically, so colorings are compared through a canonical form that is
 minimal over that symmetry group.  One scan, ``_images``, lists the 8n
-images of a color string; ``canonicalize``, ``is_canonical`` and the
-CLI's atlas all read the group action from it.
+images of a color string; ``canonicalize`` and the CLI's atlas read the
+group action from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby, islice
 
 from .errors import (
@@ -83,7 +84,11 @@ def edge(a: int, b: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Matching:
-    """Set of pairwise disjoint edges on positions 0..2n-1."""
+    """Set of pairwise disjoint edges on positions 0..2n-1.
+
+    ``edges`` is the only field, so equality and hashing read the set;
+    ``sorted_edges`` is sorted on first read and kept.
+    """
 
     edges: frozenset[tuple[int, int]]
 
@@ -91,7 +96,7 @@ class Matching:
     def from_pairs(cls, pairs) -> "Matching":
         return cls(frozenset(edge(a, b) for a, b in pairs))
 
-    @property
+    @cached_property
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
 
@@ -262,14 +267,6 @@ def canonicalize(coloring: Coloring) -> tuple[Coloring, Symmetry]:
     best = min(images)
     symmetries = all_symmetries(coloring.size)
     return Coloring(best), next(islice(symmetries, images.index(best), None))
-
-
-def is_canonical(colors: str) -> bool:
-    """Fast test that a color string equals its own canonical form."""
-    for image in _images(colors):
-        if image < colors:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

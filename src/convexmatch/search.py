@@ -66,7 +66,6 @@ CLI's atlas.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import comb
@@ -108,6 +107,15 @@ class SearchBudget:
     max_n: int | None = None
 
     def __post_init__(self):
+        for name in ("max_nodes", "jobs", "max_n"):
+            value = getattr(self, name)
+            if value is None and name != "jobs":
+                continue
+            # type() rather than isinstance(), which lets True pass as 1
+            if type(value) is not int:
+                raise OutOfRange(
+                    f"{name} must be an int, not {type(value).__name__}"
+                )
         if self.max_nodes is not None and self.max_nodes < 0:
             raise OutOfRange(f"max_nodes={brief(self.max_nodes)} is negative")
         if self.jobs < 1:
@@ -174,11 +182,29 @@ class _Tables:
     ``reds_in[e]`` and ``blues_in[e]`` keep those runs as index masks
     (bit i for red i, bit j for blue j), from which ``_dfs`` bounds how
     often the edges still to come can cross edge e.
+
+    The runs come from ranks, not searches: one pass over the coloring
+    records, for each red, how many blues come before it, and for each
+    blue, how many reds.  Take red i with B blues before it and blue j
+    with R reds before it.  If red i comes first (j >= B), the inside
+    runs are reds i+1 .. R-1 and blues B .. j-1; if blue j comes first
+    (j < B), they are reds R .. i-1 and blues j+1 .. B-1.
     """
 
     def __init__(self, coloring: Coloring):
-        reds = self.reds = coloring.positions_of(RED)
-        blues = self.blues = coloring.positions_of(BLUE)
+        reds: list[int] = []
+        blues: list[int] = []
+        blues_before = []  # blues_before[i]: blues before red i
+        reds_before = []  # reds_before[j]: reds before blue j
+        for p, c in enumerate(coloring.colors):
+            if c == RED:
+                blues_before.append(len(blues))
+                reds.append(p)
+            else:
+                reds_before.append(len(reds))
+                blues.append(p)
+        self.reds = tuple(reds)
+        self.blues = tuple(blues)
         n = self.n = len(reds)
         # rows[k] has the lowest bit of each of the first k red rows, so
         # row_bits * (rows[c] - rows[a]) copies row_bits into rows a..c-1
@@ -189,12 +215,14 @@ class _Tables:
         masks = self.masks = []
         reds_in = self.reds_in = []
         blues_in = self.blues_in = []
-        for i, r in enumerate(reds):
-            for j, b in enumerate(blues):
-                lo, hi = (r, b) if r < b else (b, r)
-                first, stop = bisect_right(reds, lo), bisect_left(reds, hi)
-                inside = ((1 << bisect_left(blues, hi))
-                          - (1 << bisect_right(blues, lo)))
+        for i, before in enumerate(blues_before):
+            for j, rank in enumerate(reds_before):
+                if j < before:  # blue j, then red i
+                    first, stop = rank, i
+                    inside = (1 << before) - (2 << j)
+                else:  # red i, then blue j
+                    first, stop = i + 1, rank
+                    inside = (1 << j) - (1 << before)
                 inside_rows = rows[stop] - rows[first]
                 masks.append(
                     inside * (rows[n] - inside_rows - (1 << i * n))

@@ -1,8 +1,9 @@
 """Brute-force reference implementations used to cross-check the package.
 
-Nothing here imports the package under test, apart from the exception
-``reference_dfs`` raises and the ``Coloring`` and ``is_canonical`` that
-``reference_colorings`` filters with.  Matchings are enumerated through
+Nothing here imports the package under test, apart from the exceptions
+``reference_dfs`` and ``reference_windows`` raise, the ``Coloring``
+that ``reference_colorings`` builds, and the ``_images`` scan that
+``is_canonical`` reads.  Matchings are enumerated through
 permutations, crossings through pairwise interleaving, and symmetry
 through string rotation, so any agreement with the library is evidence
 rather than tautology.  Sizes must stay small: all_matchings is n! and
@@ -11,12 +12,20 @@ it walks every chosen chord at every node and visits the last level
 node by node, and the kernel must make the same calls and spend the
 same nodes.  ``reference_colorings`` is the slow path of the orbit
 enumeration, and ``burnside_orbits`` counts the orbits independently.
+``reference_windows`` is the window scan that restarts at 0 after every
+cut, and ``reference_tables`` the candidate-edge tables built by
+bisection; the library's sliding scan and rank-indexed tables must give
+the same output.
 """
 
+from bisect import bisect_left, bisect_right
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
-from convexmatch.core import BLUE, RED, Coloring, is_canonical
-from convexmatch.errors import BudgetExceeded
+from convexmatch.core import BLUE, RED, Coloring, _images
+from convexmatch.errors import BudgetExceeded, NoBalancedWindow, TooSmall
+
+WINDOW_POINTS = 14
 
 SWAP = str.maketrans("RB", "BR")
 
@@ -77,6 +86,14 @@ def canonical(coloring):
 
 def canonical_reps(n):
     return sorted({canonical(c) for c in colorings(n)})
+
+
+def is_canonical(colors: str) -> bool:
+    """Fast test that a color string equals its own canonical form."""
+    for image in _images(colors):
+        if image < colors:
+            return False
+    return True
 
 
 def reference_colorings(n):
@@ -191,3 +208,63 @@ def reference_dfs(tables, wanted, max_nodes, hit):
 
     dive(0, 0, 0, 0, wanted)
     return (-1 if max_nodes is None else max_nodes) - left
+
+
+def reference_windows(coloring):
+    """``compose.window_partition`` before the sliding scan, verbatim
+    apart from returning the windows and the remainder as a pair: every
+    cut rescans the residual from 0, a fresh 14-point list per start."""
+    if coloring.n < 7:
+        raise TooSmall(f"need n >= 7 to cut a window, got n={coloring.n}")
+    colors = coloring.colors
+    residual = list(range(coloring.size))
+    windows = []
+    while len(residual) >= WINDOW_POINTS:
+        m = len(residual)
+        window = None
+        for t in range(m):
+            picked = [residual[(t + i) % m] for i in range(WINDOW_POINTS)]
+            reds = sum(1 for p in picked if colors[p] == RED)
+            if 2 * reds == WINDOW_POINTS:
+                window = picked
+                break
+        if window is None:
+            raise NoBalancedWindow(
+                f"residual of {m} points has no balanced window: {coloring}"
+            )
+        windows.append(tuple(window))
+        gone = set(window)
+        residual = [p for p in residual if p not in gone]
+    return tuple(windows), tuple(residual)
+
+
+def reference_tables(coloring):
+    """``search._Tables`` before ranks, verbatim apart from filling a
+    namespace: four bisections per candidate edge find its inside runs."""
+    self = SimpleNamespace()
+    reds = self.reds = coloring.positions_of(RED)
+    blues = self.blues = coloring.positions_of(BLUE)
+    n = self.n = len(reds)
+    # rows[k] has the lowest bit of each of the first k red rows, so
+    # row_bits * (rows[c] - rows[a]) copies row_bits into rows a..c-1
+    rows = [0]
+    for i in range(n):
+        rows.append(rows[-1] | 1 << (i * n))
+    full = (1 << n) - 1
+    masks = self.masks = []
+    reds_in = self.reds_in = []
+    blues_in = self.blues_in = []
+    for i, r in enumerate(reds):
+        for j, b in enumerate(blues):
+            lo, hi = (r, b) if r < b else (b, r)
+            first, stop = bisect_right(reds, lo), bisect_left(reds, hi)
+            inside = ((1 << bisect_left(blues, hi))
+                      - (1 << bisect_right(blues, lo)))
+            inside_rows = rows[stop] - rows[first]
+            masks.append(
+                inside * (rows[n] - inside_rows - (1 << i * n))
+                + (full - inside - (1 << j)) * inside_rows
+            )
+            reds_in.append((1 << stop) - (1 << first))
+            blues_in.append(inside)
+    return self

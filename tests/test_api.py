@@ -7,8 +7,9 @@ import convexmatch
 # names deleted because nothing but their own tests read them
 GONE = {
     "convexmatch": ("GroupPartition", "group_partition", "AntipodalProfile",
-                    "antipodal_profile"),
-    "convexmatch.core": ("AntipodalProfile", "antipodal_profile", "IDENTITY"),
+                    "antipodal_profile", "is_canonical"),
+    "convexmatch.core": ("AntipodalProfile", "antipodal_profile", "IDENTITY",
+                         "is_canonical"),
     "convexmatch.construct": ("GroupPartition", "group_partition",
                               "_group_partition_matching"),
     "convexmatch.errors": ("EmptyAntipodalCore", "NoBalancedCuts"),

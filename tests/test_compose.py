@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import oracle
 from convexmatch import (
     Coloring,
     Matching,
@@ -47,6 +48,51 @@ def test_window_partition_structure():
             seen |= set(window)
         assert seen | set(plan.remainder) == set(range(col.size))
         assert len(plan.remainder) == col.size - 14 * (n // 7)
+
+
+def _runs_coloring(rng, n):
+    """Alternating runs of 1..9 points until one colour runs out, then
+    the rest of the other, under a random rotation."""
+    left = {"R": n, "B": n}
+    color = rng.choice("RB")
+    chars = []
+    while left["R"] and left["B"]:
+        length = min(rng.randint(1, 9), left[color])
+        chars += [color] * length
+        left[color] -= length
+        color = "B" if color == "R" else "R"
+    chars += [c for c in "RB" for _ in range(left[c])]
+    turn = rng.randrange(2 * n)
+    return "".join(chars[turn:] + chars[:turn])
+
+
+def test_window_partition_matches_reference():
+    rng = random.Random(16)
+    wrapped = 0
+    for trial in range(2000):
+        n = rng.randint(7, 120)
+        if trial % 2:
+            colors = _runs_coloring(rng, n)
+        else:
+            chars = ["R"] * n + ["B"] * n
+            rng.shuffle(chars)
+            colors = "".join(chars)
+        col = Coloring(colors)
+        plan = window_partition(col)
+        assert (plan.windows, plan.remainder) == \
+            oracle.reference_windows(col), colors
+        # residuals keep clockwise order, so a window wraps when its
+        # last point comes before its first
+        wrapped += any(w[-1] < w[0] for w in plan.windows)
+    assert wrapped >= 100
+
+
+def test_window_partition_matches_reference_on_periodic_colorings():
+    for pattern in ("RB", "RRBB", "RRRBBB", "RRRRBBBB"):
+        col = Coloring(pattern * (400 // (len(pattern) // 2)))
+        plan = window_partition(col)
+        assert (plan.windows, plan.remainder) == \
+            oracle.reference_windows(col)
 
 
 def test_achievable_range():

@@ -16,7 +16,6 @@ from convexmatch import (
     crossing_number,
     edge,
     edges_cross,
-    is_canonical,
     plane_matching,
     validate,
 )
@@ -207,6 +206,22 @@ def test_canonicalize_frozen():
     assert str(canon) == "BBBBBRRRRBBBRRRR"
 
 
+def test_sorted_edges_is_kept_and_equality_reads_the_set():
+    pairs = [(5, 0), (1, 4), (3, 2), (7, 6)]
+    m = Matching.from_pairs(pairs)
+    first = m.sorted_edges
+    assert first == ((0, 5), (1, 4), (2, 3), (6, 7))
+    assert m.sorted_edges is first
+    rng = random.Random(3)
+    for _ in range(10):
+        rng.shuffle(pairs)
+        other = Matching.from_pairs((b, a) if rng.random() < 0.5 else (a, b)
+                                    for a, b in pairs)
+        assert other == m and hash(other) == hash(m)
+        assert other.sorted_edges == first
+    assert m == Matching.from_pairs(pairs)  # one read, one not
+
+
 def test_canonicalize_matches_oracle():
     for n in range(1, 5):
         for s in oracle.colorings(n):
@@ -217,7 +232,7 @@ def test_canonicalize_matches_oracle():
             # the witness is the first symmetry in scan order that works
             assert sym == next(t for t in all_symmetries(col.size)
                                if str(t.apply(col)) == expected)
-            assert is_canonical(s) == (s == expected)
+            assert oracle.is_canonical(s) == (s == expected)
 
 
 def test_block_profile():

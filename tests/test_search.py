@@ -378,11 +378,37 @@ def test_tables_masks_match_edges_cross():
                     assert bool(tables.masks[x] >> y & 1) == crossing
 
 
+def test_tables_match_reference():
+    def same(colors):
+        col = Coloring(colors)
+        tables, reference = _Tables(col), oracle.reference_tables(col)
+        for name in ("n", "reds", "blues", "masks", "reds_in", "blues_in"):
+            assert getattr(tables, name) == getattr(reference, name), \
+                (colors, name)
+
+    for n in range(1, 7):
+        for colors in oracle.colorings(n):
+            same(colors)
+    rng = random.Random(17)
+    for n in range(7, 11):
+        for _ in range(50):
+            chars = ["R"] * n + ["B"] * n
+            rng.shuffle(chars)
+            same("".join(chars))
+
+
 def test_search_budget_rejects_bad_fields():
     for fields in ({"max_nodes": -1}, {"jobs": 0}, {"jobs": -3},
                    {"max_n": 0}):
         with pytest.raises(OutOfRange):
             SearchBudget(**fields)
+    # only a plain int is a count: no float, text or bool
+    for name in ("max_nodes", "jobs", "max_n"):
+        for value in (2.5, "5", True):
+            with pytest.raises(OutOfRange, match=name):
+                SearchBudget(**{name: value})
+    with pytest.raises(OutOfRange):
+        SearchBudget(jobs=None)
     assert SearchBudget(max_nodes=0).max_nodes == 0
 
 
