@@ -66,6 +66,15 @@ SVG_RED = "#cc3333"
 SVG_BLUE = "#3366cc"
 
 
+def _number(digits: str, what: str, text: str) -> int:
+    """``digits`` as an int; text Python will not convert (past its
+    4300-digit limit) is unreadable ``what``, quoting ``text`` briefly."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"unreadable {what} {brief_text(text)}") from None
+
+
 def parse_coloring(text: str, budget: SearchBudget | None = None) -> Coloring:
     """Coloring from compact ("RBRB") or run-length ("2R 2B") text.
 
@@ -82,13 +91,16 @@ def parse_coloring(text: str, budget: SearchBudget | None = None) -> Coloring:
     consumed = 0
     for match in _RUN_TOKEN.finditer(stripped):
         if match.start() != consumed:
-            raise ParseError(f"unreadable coloring text {text!r}")
-        if int(match.group(1)) == 0:
-            raise ParseError(f"zero-length run in coloring text {text!r}")
-        runs.append((int(match.group(1)), match.group(2).upper()))
+            raise ParseError(f"unreadable coloring text {brief_text(text)}")
+        count = _number(match.group(1), "coloring text", text)
+        if count == 0:
+            raise ParseError(
+                f"zero-length run in coloring text {brief_text(text)}"
+            )
+        runs.append((count, match.group(2).upper()))
         consumed = match.end()
     if consumed != len(stripped):
-        raise ParseError(f"unreadable coloring text {text!r}")
+        raise ParseError(f"unreadable coloring text {brief_text(text)}")
     size = sum(count for count, _ in runs)
     if budget is not None:
         _check_size(size // 2, budget)
@@ -107,12 +119,12 @@ def parse_matching(text: str) -> Matching:
     for token in text.split(","):
         token = token.strip()
         if not re.fullmatch(r"\d+-\d+", token):
-            raise ParseError(f"unreadable edge {token!r}")
+            raise ParseError(f"unreadable edge {brief_text(token)}")
         a, b = token.split("-")
-        pairs.append((int(a), int(b)))
+        pairs.append((_number(a, "edge", token), _number(b, "edge", token)))
     matching = Matching.from_pairs(pairs)
     if len(matching) != len(pairs):
-        raise ParseError(f"an edge is given twice in {text!r}")
+        raise ParseError(f"an edge is given twice in {brief_text(text)}")
     return matching
 
 
@@ -345,10 +357,7 @@ def _budget(ns) -> SearchBudget:
 
 
 def _parse_blocks(text: str, expected: int) -> list[int]:
-    try:
-        sizes = [int(part) for part in text.split(",")]
-    except ValueError:
-        raise ParseError(f"unreadable block sizes {text!r}")
+    sizes = [_number(part, "block sizes", text) for part in text.split(",")]
     if len(sizes) != expected:
         raise ParseError(f"need {expected} block sizes, got {len(sizes)}")
     if any(s < 1 for s in sizes):

@@ -15,15 +15,16 @@ n mod 4; the constructions below realize the matchings behind it:
 * ``lemma3_witness``: for every coloring, a matching whose crossing count
   is at least ``balanced_fourblock_bound(n)``, certifying that no
   coloring can force fewer crossings than the balanced 4-block one.
-  It scores one join per balanced antipodal cut pair, then the 4- and
-  6-block constructions, and stops early at C(n,2) crossings.
+  It scores one join per balanced antipodal cut pair and stops early at
+  C(n,2) crossings; the 4- and 6-block constructions never count more
+  than the best join (proved in its docstring).
 
 The join of balanced cut pair (c1, c2) has exactly
 C(n,2) - sum_{t<n} |S(t) - S(c1)| crossings, where S is the core-surplus
 walk (``_core_surplus``).  The count does not depend on c2, so every c2
 ties for a given c1 and the first-best cut pair is always (c, c).
 ``_half_turn`` builds that one join and its count in closed form; the
-min-max sweep screens orbits with it before it calls ``lemma3_witness``.
+min-max sweep screens orbits with it.
 
 The constructions share one arc join (``_join``, index by index), one
 scan of block frames (``_frames``) and one builder from run sizes to a
@@ -31,7 +32,7 @@ coloring (``_runs_coloring``).  Every returned construction is checked
 once, by the validating ``crossing_number``, against its closed form or
 the bound; a construction that misses its guaranteed count raises a
 falsification alarm instead of returning quietly.  ``lemma3_witness``
-scores its candidates with the unvalidated O(n log n) counter
+scores its joins with the unvalidated O(n log n) counter
 ``_crossing_count`` and checks only the winner.
 """
 
@@ -336,21 +337,6 @@ def _sixblock_shape(sizes) -> tuple[int, int, int] | None:
     return (s1 - 1) // 2, s3, s2
 
 
-def _sixblock_frame(profile: BlockProfile):
-    """Fit a 6-run profile to the six-block pattern, if possible.
-
-    Tries all rotations and both directions; on success returns the six
-    blocks as position tuples in frame order plus (m, y1, y2).
-    """
-    if len(profile.runs) != 6:
-        return None
-    for _, blocks in _frames(profile):
-        shape = _sixblock_shape([len(b) for b in blocks])
-        if shape is not None:
-            return (blocks, *shape)
-    return None
-
-
 def _cut_pair_join(coloring: Coloring, arcs):
     """Join each arc of a cut pair to its antipode so same-colored
     bundles cross."""
@@ -440,45 +426,46 @@ def _half_turn(coloring: Coloring) -> tuple[list[tuple[int, int]], int]:
     return pairs, comb(n, 2) - sum(abs(s - surplus[c]) for s in surplus)
 
 
-def _lemma3_candidates(coloring: Coloring):
-    """Candidate witness matchings, as pair sequences, in tie-break order."""
-    for _, groups in _balanced_cut_partitions(coloring):
-        yield _cut_pair_join(coloring, groups)
-    blocks = block_profile(coloring)
-    if len(blocks.runs) == 4:
-        matching, _ = fourblock_max_matching(blocks)
-        yield matching.sorted_edges
-    fitted = _sixblock_frame(blocks)
-    if fitted is not None:
-        frame, m, y1, y2 = fitted
-        yield _sixblock_joins(frame, m, y1, y2)
-
-
 def lemma3_witness(coloring: Coloring) -> tuple[Matching, int]:
     """Matching certifying the coloring's maximum is at least the bound.
 
-    Scores the applicable candidates as they are built and keeps the
-    first with the highest count:
+    Scores the arc-to-antipodal-arc join of every balanced antipodal cut
+    pair, in ``_balanced_cut_partitions`` order, and keeps the first
+    with the highest count.  Every cut pair counts, not just Lemma 3's
+    evenly halved one: where the cuts fall relative to the bichromatic
+    pairs can swing the count by more than the slack in the bound.
+    Scoring stops at the first join with all C(n,2) pairs crossing, as
+    with an empty core at cut pair (0, 0).  Joins are scored with the
+    unvalidated ``_crossing_count``; the winner alone is recounted by
+    ``crossing_number``, and a count below ``balanced_fourblock_bound``
+    raises a falsification alarm.
 
-    * arc-to-antipodal-arc joins for every balanced antipodal cut pair,
-      not just the evenly halved one of Lemma 3's proof -- where the
-      cuts fall relative to the bichromatic pairs can swing the count by
-      more than the slack in the bound;
-    * exactly four blocks: the exact 4-block maximum construction;
-    * six blocks fitting the special pattern: its dedicated witness.
+    The best join has C(n,2) - min_c D(S(c)) crossings, S being the
+    core-surplus walk and D(m) = sum_{t<n} |S(t) - m|.  The 4- and
+    6-block constructions count at most that, and after it they could
+    only tie, so they are not scored:
 
-    Scoring stops at the first candidate with all C(n,2) pairs crossing,
-    which nothing can beat: with an empty core, cut pair (0, 0) joins
-    each point to its antipode.
-
-    Candidates are scored with the unvalidated ``_crossing_count``; the
-    winner alone is recounted by the validating ``crossing_number``, and
-    if it counts below ``balanced_fourblock_bound`` a falsification alarm
-    is raised.
+    * 4 blocks, normalized frame R^r1 B^b1 R^(n-r1) B^(n-b1) with
+      r1, b1 <= n/2; a = min(r1, b1), b = max(r1, b1), s = r1 + b1.
+      S steps +1 on [0, a), 0 on [a, b), -1 on [b, s) and 0 after, so
+      it takes 0 exactly n+1-s times, each of 1..a-1 twice and a
+      exactly b-a+1 times.  Hence D(m) = 2m^2 + (n - 2s)m + r1*b1 for
+      0 <= m <= a: ``FourBlockPlan``'s f(m) over the same integers, so
+      the best join has C(n,2) - h crossings, the exact 4-block maximum.
+    * 6 blocks, sizes (o+y1, o, y2, y1, o, o+y2) with o = 2m+1.  S is 0
+      on [0, y1], rises by one per step to o, falls back to 0 by
+      t = y1 + 2o and stays 0.  Hence D(M) = 2M^2 + (y1 + y2 - 2o)M + o^2
+      for 0 <= M <= o, and C(n,2) - D(m) is
+      ``sixblock_crossing_count(m, y1, y2)``.
+    * Symmetry.  Rotation, reflection and colour swap rotate, reverse
+      or negate the n-periodic steps, which moves the walk's values by
+      a translation and a sign and leaves min_c D(S(c)) alone: both
+      results hold in every frame that ``_frames`` can find.
     """
     best_pairs = None
     best_count = -1
-    for pairs in _lemma3_candidates(coloring):
+    for _, arcs in _balanced_cut_partitions(coloring):
+        pairs = _cut_pair_join(coloring, arcs)
         count = _crossing_count(pairs, coloring.size)
         if count > best_count:
             best_pairs, best_count = pairs, count

@@ -68,9 +68,6 @@ class Coloring:
     def n(self) -> int:
         return len(self.colors) // 2
 
-    def positions_of(self, color: str) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.colors) if c == color)
-
     def __str__(self) -> str:
         return self.colors
 

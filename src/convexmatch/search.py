@@ -50,11 +50,11 @@ routes agree, raising a falsification alarm otherwise.  Every orbit
 runs one job.  A screen settles it when its best balanced cut-pair
 join, found in closed form by ``construct._half_turn`` and counted by
 the validating ``crossing_number``, exceeds the bound (the orbit cannot
-be a minimizer).  The orbits the screen leaves get the paper's full
-Lemma-3 witness, which settles them the same way or raises its alarm.
-Only the orbits neither settles get the search, capped at the bound and
-at ``max_nodes`` nodes each.  The job is mapped in-process or over a
-pool of at most ``os.cpu_count()`` workers; there is no second path.
+be a minimizer).  The orbits the screen leaves get the paper's Lemma-3
+witness for its alarm alone, since its count is the screen's, and then
+the search, capped at the bound and at ``max_nodes`` nodes each.  The
+job is mapped in-process or over a pool of at most ``os.cpu_count()``
+workers; there is no second path.
 
 Default size limits keep accidental combinatorial explosions out of
 interactive use; raise them through ``SearchBudget`` or the environment
@@ -536,23 +536,22 @@ def enumerate_colorings(n: int) -> list[Coloring]:
 def _sweep_job(args: tuple[str, int, int | None]) -> tuple[str, int | None]:
     """How one orbit was settled, and its maximum if at most ``bound``.
 
-    The screen comes first: ``_half_turn`` joins the best balanced cut
-    pair in closed form, and when the validating ``crossing_number`` of
-    that join exceeds the bound, the orbit is settled as
-    ``("witness", None)``.  An orbit the screen leaves gets
-    ``lemma3_witness``, which adds the 4- and 6-block candidates and
-    settles it the same way when its checked count exceeds the bound.
-    Otherwise the capped search gives ``("search", value)``, with None
-    for a maximum above the bound, or ``("budget", None)`` once it runs
-    out of nodes.  A witness below the bound is a falsification alarm,
-    raised by ``lemma3_witness`` and not caught here.
+    The screen: ``_half_turn`` joins the best balanced cut pair in
+    closed form, and when the validating ``crossing_number`` of that
+    join exceeds the bound, the orbit is settled as ``("witness", None)``.
+    An orbit the screen leaves still gets ``lemma3_witness``, only for
+    its alarm: a witness below the bound raises, uncaught here.  Its
+    count is the screen's own, so it never settles the orbit.  The
+    capped search then gives ``("search", value)``, with None for a
+    maximum above the bound, or ``("budget", None)`` once it runs out
+    of nodes.
     """
     colors, bound, max_nodes = args
     coloring = Coloring(colors)
     pairs, _ = _half_turn(coloring)
-    if (crossing_number(coloring, Matching.from_pairs(pairs)) > bound
-            or lemma3_witness(coloring)[1] > bound):
+    if crossing_number(coloring, Matching.from_pairs(pairs)) > bound:
         return "witness", None
+    lemma3_witness(coloring)
     try:
         result = _max_search(_Tables(coloring), bound, max_nodes)
     except BudgetExceeded:
@@ -572,18 +571,17 @@ def minmax_sweep(
     disagreement raises a falsification alarm.  Only an orbit whose
     maximum is at most the bound can attain the minimum, so each orbit
     is first screened by its best balanced cut-pair join, built in
-    closed form and counted by the validating ``crossing_number``, and
-    then, if that join does not exceed the bound, offered its
-    ``lemma3_witness``: a join or witness counting above the bound drops
-    the orbit with no search, and a witness counting below it raises
-    ``WitnessBelowBound``.  The rest get the exact branch and bound,
-    aborted once a matching beats the bound.  ``budget.max_nodes`` caps
-    each searched orbit (witness-settled orbits spend no nodes); running
-    out raises ``BudgetExceeded``.  ``budget.jobs`` above 1, clamped to
+    closed form and counted by the validating ``crossing_number``: a
+    join counting above the bound drops the orbit with no search.  The
+    rest get their ``lemma3_witness``, whose count is that join's, so
+    it settles nothing but raises ``WitnessBelowBound`` below the bound,
+    and then the exact branch and bound, aborted once a matching beats
+    the bound.  ``budget.max_nodes`` caps each searched orbit
+    (witness-settled orbits spend no nodes); running out raises
+    ``BudgetExceeded``.  ``budget.jobs`` above 1, clamped to
     the CPU count, maps the same per-orbit job over a process pool, so
     results do not depend on the worker count.  A ``settled`` dict
-    receives how many orbits the witness (screen or full Lemma-3
-    witness) and the search settled.
+    receives how many orbits the witness screen and the search settled.
     """
     budget = budget or SearchBudget()
     _check_size(n, budget, "sweep")

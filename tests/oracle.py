@@ -2,11 +2,12 @@
 
 Nothing here imports the package under test, apart from the exceptions
 ``reference_dfs`` and ``reference_windows`` raise, the ``Coloring``
-that ``reference_colorings`` builds, and the ``_images`` scan that
-``is_canonical`` reads.  Matchings are enumerated through
-permutations, crossings through pairwise interleaving, and symmetry
-through string rotation, so any agreement with the library is evidence
-rather than tautology.  Sizes must stay small: all_matchings is n! and
+that ``reference_colorings`` builds, the ``_images`` scan that
+``is_canonical`` reads, and the constructions, counters and alarm that
+``reference_lemma3_witness`` scores and raises.  Matchings are
+enumerated through permutations, crossings through pairwise
+interleaving, and symmetry through string rotation, so any agreement
+with the library is evidence rather than tautology.  Sizes must stay small: all_matchings is n! and
 colorings(n) is C(2n, n).  ``reference_dfs`` is the slow path of the search kernel:
 it walks every chosen chord at every node and visits the last level
 node by node, and the kernel must make the same calls and spend the
@@ -15,15 +16,41 @@ enumeration, and ``burnside_orbits`` counts the orbits independently.
 ``reference_windows`` is the window scan that restarts at 0 after every
 cut, and ``reference_tables`` the candidate-edge tables built by
 bisection; the library's sliding scan and rank-indexed tables must give
-the same output.
+the same output.  ``reference_lemma3_witness`` is the Lemma-3 witness
+that also scored the 4- and 6-block candidates after the cut-pair
+joins; the library's joins alone must give the same matching and count.
 """
 
 from bisect import bisect_left, bisect_right
 from itertools import combinations, permutations
+from math import comb
 from types import SimpleNamespace
 
-from convexmatch.core import BLUE, RED, Coloring, _images
-from convexmatch.errors import BudgetExceeded, NoBalancedWindow, TooSmall
+from convexmatch.construct import (
+    _balanced_cut_partitions,
+    _cut_pair_join,
+    _frames,
+    _sixblock_joins,
+    _sixblock_shape,
+    balanced_fourblock_bound,
+    fourblock_max_matching,
+)
+from convexmatch.core import (
+    BLUE,
+    RED,
+    Coloring,
+    Matching,
+    _crossing_count,
+    _images,
+    block_profile,
+    crossing_number,
+)
+from convexmatch.errors import (
+    BudgetExceeded,
+    NoBalancedWindow,
+    TooSmall,
+    WitnessBelowBound,
+)
 
 WINDOW_POINTS = 14
 
@@ -242,8 +269,9 @@ def reference_tables(coloring):
     """``search._Tables`` before ranks, verbatim apart from filling a
     namespace: four bisections per candidate edge find its inside runs."""
     self = SimpleNamespace()
-    reds = self.reds = coloring.positions_of(RED)
-    blues = self.blues = coloring.positions_of(BLUE)
+    colors = coloring.colors
+    reds = self.reds = tuple(i for i, c in enumerate(colors) if c == RED)
+    blues = self.blues = tuple(i for i, c in enumerate(colors) if c == BLUE)
     n = self.n = len(reds)
     # rows[k] has the lowest bit of each of the first k red rows, so
     # row_bits * (rows[c] - rows[a]) copies row_bits into rows a..c-1
@@ -268,3 +296,56 @@ def reference_tables(coloring):
             reds_in.append((1 << stop) - (1 << first))
             blues_in.append(inside)
     return self
+
+
+def _sixblock_frame(profile):
+    """Fit a 6-run profile to the six-block pattern, if possible.
+
+    Tries all rotations and both directions; on success returns the six
+    blocks as position tuples in frame order plus (m, y1, y2).
+    """
+    if len(profile.runs) != 6:
+        return None
+    for _, blocks in _frames(profile):
+        shape = _sixblock_shape([len(b) for b in blocks])
+        if shape is not None:
+            return (blocks, *shape)
+    return None
+
+
+def _lemma3_candidates(coloring):
+    """Candidate witness matchings, as pair sequences, in tie-break order."""
+    for _, groups in _balanced_cut_partitions(coloring):
+        yield _cut_pair_join(coloring, groups)
+    blocks = block_profile(coloring)
+    if len(blocks.runs) == 4:
+        matching, _ = fourblock_max_matching(blocks)
+        yield matching.sorted_edges
+    fitted = _sixblock_frame(blocks)
+    if fitted is not None:
+        frame, m, y1, y2 = fitted
+        yield _sixblock_joins(frame, m, y1, y2)
+
+
+def reference_lemma3_witness(coloring):
+    """``construct.lemma3_witness`` before the block candidates were
+    dropped, verbatim: the cut-pair joins, then the exact 4-block
+    maximum, then the six-block join, keeping the first best."""
+    best_pairs = None
+    best_count = -1
+    for pairs in _lemma3_candidates(coloring):
+        count = _crossing_count(pairs, coloring.size)
+        if count > best_count:
+            best_pairs, best_count = pairs, count
+            if count == comb(coloring.n, 2):
+                break
+    assert best_pairs is not None
+    matching = Matching.from_pairs(best_pairs)
+    count = crossing_number(coloring, matching)
+    bound = balanced_fourblock_bound(coloring.n).value
+    if count < bound:
+        raise WitnessBelowBound(
+            f"best witness for {coloring} has {count} crossings, "
+            f"bound is {bound}"
+        )
+    return matching, count

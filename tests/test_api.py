@@ -11,11 +11,13 @@ GONE = {
     "convexmatch.core": ("AntipodalProfile", "antipodal_profile", "IDENTITY",
                          "is_canonical"),
     "convexmatch.construct": ("GroupPartition", "group_partition",
-                              "_group_partition_matching"),
+                              "_group_partition_matching",
+                              "_lemma3_candidates", "_sixblock_frame"),
     "convexmatch.errors": ("EmptyAntipodalCore", "NoBalancedCuts"),
 }
 GONE_MEMBERS = (
     ("Coloring", "color"),
+    ("Coloring", "positions_of"),
     ("Symmetry", "apply_to_matching"),
     ("Symmetry", "inverse"),
     ("BlockProfile", "s"),

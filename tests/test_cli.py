@@ -106,6 +106,48 @@ def test_exit_codes(capsys, monkeypatch):
     assert "invalid int value: 'abc'" in capsys.readouterr().err
 
 
+def test_text_parsers_name_long_input_by_length(capsys):
+    # run counts and positions past the 4300-digit limit are parse
+    # errors, and no message quotes long input in full
+    over = "9" * 5000
+    twice = ",".join(["0-2"] * 2000)
+    for argv, message in (
+        (["spectrum", "--coloring", f"{over}R1B"], "unreadable coloring text"),
+        (["compose", "--coloring", f"{over}R1B", "--k", "3"],
+         "unreadable coloring text"),
+        (["render", "--coloring", "RRBB", "--matching", f"0-{over}"],
+         "unreadable edge"),
+        (["spectrum", "--coloring", f"x{over}"], "unreadable coloring text"),
+        (["spectrum", "--coloring", f"0R1B{over}"],
+         "zero-length run in coloring text"),
+        (["construct", "fourblock", "--blocks", f"1,x,{over}"],
+         "unreadable block sizes"),
+        (["render", "--coloring", "RRBB", "--matching", f"0-x{over}"],
+         "unreadable edge"),
+        (["render", "--coloring", "RRBB", "--matching", twice],
+         "an edge is given twice in"),
+    ):
+        assert main(argv) == 2, argv[:2]
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 200, argv[:2]
+        assert f"error: {message} a " in err, argv[:2]
+    # short text is still quoted in full
+    for argv, message in (
+        (["spectrum", "--coloring", "2R2B3"],
+         "unreadable coloring text '2R2B3'"),
+        (["spectrum", "--coloring", "0R1B"],
+         "zero-length run in coloring text '0R1B'"),
+        (["construct", "fourblock", "--blocks", "1,x"],
+         "unreadable block sizes '1,x'"),
+        (["render", "--coloring", "RRBB", "--matching", "0-x"],
+         "unreadable edge '0-x'"),
+        (["render", "--coloring", "RRBB", "--matching", "0-2,0-2"],
+         "an edge is given twice in '0-2,0-2'"),
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_brief_names_long_ints_by_digit_count():
     assert brief(-(10**20 - 1)) == "-" + "9" * 20
     assert brief(10**20) == "a 21-digit number"

@@ -462,3 +462,74 @@ def test_cut_pair_joins_count_in_closed_form():
             if best is None or count > best[1]:
                 best = pairs, count
         assert _half_turn(col) == best, colors
+
+
+# ------------------------------------------- witness without block candidates
+
+
+def block_colors(sizes):
+    """Alternating runs of these sizes, starting with red."""
+    return "".join(("R" if i % 2 == 0 else "B") * s
+                   for i, s in enumerate(sizes))
+
+
+def turns(colors):
+    """Every rotation and reflection of a color string."""
+    return {c[r:] + c[:r] for c in (colors, colors[::-1])
+            for r in range(len(colors))}
+
+
+def witness_cases():
+    """Every coloring with n <= 6; every rotation and reflection of every
+    4-block coloring with n <= 10; every rotation, reflection and swap of
+    the six-block family with m <= 2 and 1 <= y1, y2 <= 3."""
+    for n in range(1, 7):
+        yield from oracle.colorings(n)
+    # block colorings with n <= 6 are among those above
+    fourblock = set()
+    for n in range(7, 11):
+        for r1, b1 in product(range(1, n), repeat=2):
+            fourblock |= turns(block_colors((r1, b1, n - r1, n - b1)))
+    yield from sorted(fourblock)
+    sixblock = set()
+    for m, y1, y2 in product(range(3), range(1, 4), range(1, 4)):
+        sixblock |= oracle.orbit(block_colors(sixblock_sizes(m, y1, y2)))
+    yield from sorted(c for c in sixblock if len(c) > 12)
+
+
+def test_witness_matches_reference_with_block_candidates():
+    # the 4- and 6-block candidates the reference also scores never
+    # change the witness or its count
+    for colors in witness_cases():
+        col = Coloring(colors)
+        matching, count = lemma3_witness(col)
+        ref_matching, ref_count = oracle.reference_lemma3_witness(col)
+        assert (matching.sorted_edges, count) == \
+            (ref_matching.sorted_edges, ref_count), colors
+
+
+def test_fourblock_walk_deviation_is_the_plan_objective():
+    # the best join of R^r1 B^b1 R^(n-r1) B^(n-b1) misses h pairs, as the
+    # exact 4-block maximum does
+    for n in range(2, 31):
+        for r1, b1 in product(range(1, n // 2 + 1), repeat=2):
+            walk = core_surplus(block_colors((r1, b1, n - r1, n - b1)))
+            assert set(walk) == set(range(min(r1, b1) + 1))
+            deviation = {m: sum(abs(s - m) for s in walk) for m in set(walk)}
+            for m, value in deviation.items():
+                assert value == 2 * m * m + (n - 2 * (r1 + b1)) * m + r1 * b1
+            assert min(deviation.values()) == h_value(n, r1, b1).h_value
+
+
+def test_sixblock_walk_deviation_closed_form():
+    # the six-block count is C(n,2) minus the deviation sum about m, so
+    # at most the best join's
+    for m, y1, y2 in product(range(7), range(1, 7), range(1, 7)):
+        o = 2 * m + 1
+        walk = core_surplus(block_colors(sixblock_sizes(m, y1, y2)))
+        assert set(walk) == set(range(o + 1))
+        for big_m in range(o + 1):
+            assert sum(abs(s - big_m) for s in walk) == \
+                2 * big_m ** 2 + (y1 + y2 - 2 * o) * big_m + o * o
+        assert comb2(len(walk)) - sum(abs(s - m) for s in walk) == \
+            sixblock_crossing_count(m, y1, y2)

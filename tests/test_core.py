@@ -34,8 +34,6 @@ def test_coloring_normalizes_case():
     assert str(col) == "RBRB"
     assert col.n == 2
     assert col.size == 4
-    assert col.positions_of(RED) == (0, 2)
-    assert col.positions_of(BLUE) == (1, 3)
 
 
 def test_coloring_rejects_garbage():
@@ -162,8 +160,8 @@ def test_crossing_number_matches_oracle():
         colors = ["R"] * n + ["B"] * n
         rng.shuffle(colors)
         col = Coloring("".join(colors))
-        reds = list(col.positions_of(RED))
-        blues = list(col.positions_of(BLUE))
+        reds = [i for i, c in enumerate(col.colors) if c == RED]
+        blues = [i for i, c in enumerate(col.colors) if c == BLUE]
         rng.shuffle(blues)
         pairs = list(zip(reds, blues))
         m = Matching.from_pairs(pairs)

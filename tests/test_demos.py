@@ -1,11 +1,15 @@
-"""Every demo script runs to completion in a fresh interpreter."""
+"""Every demo script runs to completion in a fresh interpreter, and every
+command line the README shows exits 0."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from convexmatch.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -22,3 +26,22 @@ def test_demo_runs(demo, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def readme_commands():
+    """The lines of the ``sh`` block under "## Command line" in README.md,
+    as argv lists without the leading ``convexmatch``."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines()]
+
+
+def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 13
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()

@@ -4,7 +4,9 @@ Each draw picks a subcommand and fills its options from the grammar with
 valid, mutated or hostile tokens: empty strings, negative numbers,
 zero-length runs, repeated edges, unknown formats, a 3000-digit ``--n``
 for ``bound``, 3000-digit run counts and block sizes for constructions
-and ``compose``, and ``--out`` into a missing directory.  Searches on
+and ``compose``, run counts and matching positions of 5000 digits (past
+the interpreter's 4300-digit conversion limit) for every command that
+reads them, and ``--out`` into a missing directory.  Searches on
 colorings with n <= 4 often get a ``--max-nodes`` of 0..60, so that the
 budget sometimes runs out inside the last level, which ``_dfs`` settles
 in place.  ``cli.main`` runs
@@ -26,6 +28,7 @@ SEED = 7
 DRAWS = 400
 
 HUGE = "9" * 3000
+OVER = "9" * 5000  # more digits than int() converts
 # no huge value here.  Constructions and compose draw run counts and block
 # sizes from HUGE, far above sys.maxsize, which they refuse before building
 # a string.  They have no size gate yet, so a value between 10**6 and
@@ -76,10 +79,14 @@ def pick(rng, valid):
 
 def coloring_token(rng, n, huge=False):
     text = colors(rng, n)
-    if huge and rng.random() < 0.1:
+    roll = rng.random()
+    if roll < 0.05:
+        # runs whose counts do not convert: unreadable text
+        text = f"{OVER}R {runs(text)} {OVER}B"
+    elif huge and roll < 0.15:
         # one red and one blue run of HUGE points: balanced, unindexable
         text = f"{HUGE}R {runs(text)} {HUGE}B"
-    elif rng.random() < 0.3:
+    elif roll < 0.4:
         text = runs(text)
     if rng.random() < 0.2:
         text = text.lower()
@@ -100,6 +107,8 @@ def matching_token(rng, text):
         pairs.append(f"{b}-{a}")  # repeated edge, reversed
     elif roll < 0.35 and pairs:
         pairs.pop()
+    elif roll < 0.4:
+        pairs.append(f"0-{OVER}")  # a position that does not convert
     return pick(rng, ",".join(pairs))
 
 

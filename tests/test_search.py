@@ -277,11 +277,16 @@ def test_sweep_without_witnesses_is_unchanged(monkeypatch):
 
 
 def test_sweep_with_screen_equals_sweep_without(monkeypatch):
+    # the Lemma-3 witness counts what the screen counts, so with the
+    # screen off it settles nothing and every orbit is searched
     budget = SearchBudget(max_n=10)
-    screened = {n: sweep(n, budget) for n in range(2, 11)}
+    screened = {n: sweep(n, budget)[:2] for n in range(2, 11)}
     screen_off(monkeypatch)
     for n, expected in screened.items():
-        assert sweep(n, budget) == expected, n
+        value, minimizers, settled = sweep(n, budget)
+        assert (value, minimizers) == expected, n
+        assert settled == {"witness": 0,
+                           "search": len(enumerate_colorings(n))}, n
 
 
 def test_witness_below_bound_stops_the_sweep(monkeypatch, capsys):
