@@ -15,25 +15,31 @@ n mod 4; the constructions below realize the matchings behind it:
 * ``lemma3_witness``: for every coloring, a matching whose crossing count
   is at least ``balanced_fourblock_bound(n)``, certifying that no
   coloring can force fewer crossings than the balanced 4-block one.
-  It scores one join per balanced antipodal cut pair and stops early at
-  C(n,2) crossings; the 4- and 6-block constructions never count more
-  than the best join (proved in its docstring).
+  It scores the n half-turn joins and stops early at C(n,2) crossings;
+  the 4- and 6-block constructions never count more than the best join
+  (proved in its docstring).
 
-The join of balanced cut pair (c1, c2) has exactly
-C(n,2) - sum_{t<n} |S(t) - S(c1)| crossings, where S is the core-surplus
-walk (``_core_surplus``).  The count does not depend on c2, so every c2
-ties for a given c1 and the first-best cut pair is always (c, c).
-``_half_turn`` builds that one join and its count in closed form; the
-min-max sweep screens orbits with it.
+A half-turn join (``_half_join``) joins the half [c, c+n) to its
+antipode.  It stands for every balanced antipodal cut pair (c1, c2)
+with c1 = c: the join of that pair's arcs has exactly
+C(n,2) - sum_{t<n} |S(t) - S(c1)| crossings, where S is the
+core-surplus walk (``_core_surplus``).  The count does not depend on
+c2, and in lexicographic order (c1, c1) comes before every (c1, c2), so
+the first-best cut pair is always some (c, c) and scoring the n
+half-turns finds it.  ``tests/oracle.py`` keeps the scan over every cut
+pair as the reference.  ``_half_turn`` picks the same join and its
+count in closed form; the min-max sweep screens orbits with it.
 
 The constructions share one arc join (``_join``, index by index), one
 scan of block frames (``_frames``) and one builder from run sizes to a
-coloring (``_runs_coloring``).  Every returned construction is checked
-once, by the validating ``crossing_number``, against its closed form or
-the bound; a construction that misses its guaranteed count raises a
-falsification alarm instead of returning quietly.  ``lemma3_witness``
-scores its joins with the unvalidated O(n log n) counter
-``_crossing_count`` and checks only the winner.
+coloring (``_runs_coloring``).  Every other returned construction is
+checked once, by the validating ``crossing_number``, against its closed
+form or the bound; a construction that misses its guaranteed count
+raises a falsification alarm instead of returning quietly.
+``plane_matching`` is the exception: its zero follows from its stack
+discipline, and its callers (the CLI and ``compose``) recount it.
+``lemma3_witness`` scores its joins with the unvalidated O(n log n)
+counter ``_crossing_count`` and checks only the winner.
 """
 
 from __future__ import annotations
@@ -140,7 +146,14 @@ def alternating_max_matching(n: int) -> tuple[Coloring, Matching]:
     for i in range(n):
         step = n + 1 if i % 2 == 0 else n - 1
         pairs.append((i, (i + step) % (2 * n)))
-    return coloring, Matching.from_pairs(pairs)
+    matching = Matching.from_pairs(pairs)
+    count = crossing_number(coloring, matching)
+    expected = comb(n, 2) - n // 2
+    if count != expected:
+        raise WitnessBelowBound(
+            f"alternating construction counted {count}, expected {expected}"
+        )
+    return coloring, matching
 
 
 def balanced_fourblock_coloring(n: int) -> Coloring:
@@ -337,21 +350,6 @@ def _sixblock_shape(sizes) -> tuple[int, int, int] | None:
     return (s1 - 1) // 2, s3, s2
 
 
-def _cut_pair_join(coloring: Coloring, arcs):
-    """Join each arc of a cut pair to its antipode so same-colored
-    bundles cross."""
-    rt, rb, lb, lt = arcs
-    colors = coloring.colors
-    return _join(
-        (
-            [p for p in x_arc if colors[p] == color],
-            [p for p in y_arc if colors[p] != color],
-        )
-        for x_arc, y_arc in ((rt, lb), (rb, lt))
-        for color in (RED, BLUE)
-    )
-
-
 def _core_surplus(coloring: Coloring) -> list[int]:
     """The core-surplus walk S(0), ..., S(n-1).
 
@@ -368,50 +366,32 @@ def _core_surplus(coloring: Coloring) -> list[int]:
     return surplus
 
 
-def _balanced_cut_partitions(coloring: Coloring):
-    """Balanced antipodal cut pairs, as ``((c1, c2), arcs)``.
-
-    The arcs are [c1, c2), [c2, c1+n) and their antipodes.  Each
-    unordered cut set {c1, c2, c1+n, c2+n} comes once, as 0 <= c1 <= c2
-    < n in lexicographic order.  A pair is balanced when [c1, c2) holds
-    as many red as blue core points, and that one test suffices.  Core
-    pairs are antipodal and monochromatic, so an arc and its antipode
-    hold the same core colors.  Bichromatic pairs hold one point of each
-    color, so the core has as many red pairs as blue; the half
-    [c1, c1+n) holds one point of each pair, so it is balanced, and so
-    is [c2, c1+n).  No size constraint is imposed on the split: Lemma
-    3's proof halves the core evenly, but the witness search wants every
-    shape.
-
-    The join of cut pair (c1, c2), as ``_cut_pair_join`` builds it, has
-    exactly C(n,2) - sum_t |S(t) - S(c1)| crossings, S being
-    ``_core_surplus`` and t running over 0 <= t < n.  The count does not
-    depend on c2, so every c2 ties for a given c1 and the first-best cut
-    pair is always some (c, c); ``_half_turn`` finds it in closed form.
-    """
-    n = coloring.n
-    surplus = _core_surplus(coloring)
-    # every arc is [lo, hi) with lo < 2n and hi - lo <= n, so a slice of
-    # two laps of the cycle gives its positions mod 2n
-    ring = tuple(range(coloring.size)) * 2
-    for c1 in range(n):
-        for c2 in range(c1, n):
-            if surplus[c2] == surplus[c1]:
-                yield (c1, c2), (
-                    ring[c1:c2],
-                    ring[c2:c1 + n],
-                    ring[c1 + n:c2 + n],
-                    ring[c2 + n:c1 + 2 * n],
-                )
+def _half_join(coloring: Coloring, c: int) -> list[tuple[int, int]]:
+    """Join the half [c, c+n) to its antipode so same-colored bundles
+    cross: the half's red points, in order, to the antipodal half's blue
+    points, then its blue points to the antipodal red points."""
+    colors = coloring.colors
+    half = range(c, c + coloring.n)
+    far = [(p + coloring.n) % coloring.size for p in half]
+    return _join(
+        (
+            [p for p in half if colors[p] == color],
+            [p for p in far if colors[p] != color],
+        )
+        for color in (RED, BLUE)
+    )
 
 
 def _half_turn(coloring: Coloring) -> tuple[list[tuple[int, int]], int]:
-    """The first-best balanced cut-pair join and its count, with no scan.
+    """The witness's best half-turn join and its count, with no scoring.
 
-    By the identity in ``_balanced_cut_partitions``, the best cut pairs
-    are those whose c1 minimises sum_t |S(t) - S(c1)|, and the first of
-    them is (c, c) for the first such c: the half [c, c+n) joined to its
-    antipode.  The count is C(n,2) minus that sum; it is not validated.
+    The join ``_half_join(coloring, c)`` has C(n,2) - sum_t |S(t) - S(c)|
+    crossings, so the first-best half-turn is the first c whose S(c)
+    minimises that deviation sum: any value between the medians of the
+    walk.  That is ``lemma3_witness``'s join, which is also the first
+    best of every balanced cut pair (c1, c2), since the count of (c1, c2)
+    does not depend on c2 and (c1, c1) comes first.  The count is
+    C(n,2) minus that sum; it is not validated.
     """
     n = coloring.n
     surplus = _core_surplus(coloring)
@@ -419,26 +399,27 @@ def _half_turn(coloring: Coloring) -> tuple[list[tuple[int, int]], int]:
     # the deviation sum is least exactly at the values between the medians
     low, high = ranked[(n - 1) // 2], ranked[n // 2]
     c = next(c for c, s in enumerate(surplus) if low <= s <= high)
-    half = range(c, c + n)
-    pairs = _cut_pair_join(
-        coloring, ((), half, (), [(p + n) % coloring.size for p in half])
-    )
-    return pairs, comb(n, 2) - sum(abs(s - surplus[c]) for s in surplus)
+    count = comb(n, 2) - sum(abs(s - surplus[c]) for s in surplus)
+    return _half_join(coloring, c), count
 
 
 def lemma3_witness(coloring: Coloring) -> tuple[Matching, int]:
     """Matching certifying the coloring's maximum is at least the bound.
 
-    Scores the arc-to-antipodal-arc join of every balanced antipodal cut
-    pair, in ``_balanced_cut_partitions`` order, and keeps the first
-    with the highest count.  Every cut pair counts, not just Lemma 3's
-    evenly halved one: where the cuts fall relative to the bichromatic
-    pairs can swing the count by more than the slack in the bound.
-    Scoring stops at the first join with all C(n,2) pairs crossing, as
-    with an empty core at cut pair (0, 0).  Joins are scored with the
-    unvalidated ``_crossing_count``; the winner alone is recounted by
-    ``crossing_number``, and a count below ``balanced_fourblock_bound``
-    raises a falsification alarm.
+    Scores the n half-turn joins ``_half_join(coloring, c)``, for
+    c = 0, ..., n-1, and keeps the first with the highest count.  They
+    stand for every balanced antipodal cut pair (c1, c2), c1 <= c2: the
+    arcs [c1, c2) and [c2, c1+n), each joined to its antipode, have
+    C(n,2) - sum_t |S(t) - S(c1)| crossings whatever c2 is, and in
+    lexicographic order (c1, c1), the half-turn at c1, comes before
+    every (c1, c2), so the first-best cut pair is always some (c, c).
+    Every c counts, not just Lemma 3's evenly halved cut: where the cut
+    falls relative to the bichromatic pairs can swing the count by more
+    than the slack in the bound.  Scoring stops at the first join with
+    all C(n,2) pairs crossing, as with an empty core at c = 0.  Joins
+    are scored with the unvalidated ``_crossing_count``; the winner
+    alone is recounted by ``crossing_number``, and a count below
+    ``balanced_fourblock_bound`` raises a falsification alarm.
 
     The best join has C(n,2) - min_c D(S(c)) crossings, S being the
     core-surplus walk and D(m) = sum_{t<n} |S(t) - m|.  The 4- and
@@ -464,8 +445,8 @@ def lemma3_witness(coloring: Coloring) -> tuple[Matching, int]:
     """
     best_pairs = None
     best_count = -1
-    for _, arcs in _balanced_cut_partitions(coloring):
-        pairs = _cut_pair_join(coloring, arcs)
+    for c in range(coloring.n):
+        pairs = _half_join(coloring, c)
         count = _crossing_count(pairs, coloring.size)
         if count > best_count:
             best_pairs, best_count = pairs, count

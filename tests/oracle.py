@@ -3,8 +3,9 @@
 Nothing here imports the package under test, apart from the exceptions
 ``reference_dfs`` and ``reference_windows`` raise, the ``Coloring``
 that ``reference_colorings`` builds, the ``_images`` scan that
-``is_canonical`` reads, and the constructions, counters and alarm that
-``reference_lemma3_witness`` scores and raises.  Matchings are
+``is_canonical`` reads, and the core-surplus walk, arc join,
+constructions, counters and alarm that ``reference_lemma3_witness``
+scans, scores and raises.  Matchings are
 enumerated through permutations, crossings through pairwise
 interleaving, and symmetry through string rotation, so any agreement
 with the library is evidence rather than tautology.  Sizes must stay small: all_matchings is n! and
@@ -17,8 +18,12 @@ enumeration, and ``burnside_orbits`` counts the orbits independently.
 cut, and ``reference_tables`` the candidate-edge tables built by
 bisection; the library's sliding scan and rank-indexed tables must give
 the same output.  ``reference_lemma3_witness`` is the Lemma-3 witness
-that also scored the 4- and 6-block candidates after the cut-pair
-joins; the library's joins alone must give the same matching and count.
+that scanned every balanced cut pair (``_balanced_cut_partitions``,
+each joined by the four-arc ``_cut_pair_join``) and then scored the 4-
+and 6-block candidates.  The library scores only the n half-turn joins
+(c, c) and must give the same matching and count: the count of cut
+pair (c1, c2) does not depend on c2, and (c1, c1) comes before every
+(c1, c2), so the first-best cut pair is always a half-turn.
 """
 
 from bisect import bisect_left, bisect_right
@@ -27,9 +32,9 @@ from math import comb
 from types import SimpleNamespace
 
 from convexmatch.construct import (
-    _balanced_cut_partitions,
-    _cut_pair_join,
+    _core_surplus,
     _frames,
+    _join,
     _sixblock_joins,
     _sixblock_shape,
     balanced_fourblock_bound,
@@ -298,6 +303,58 @@ def reference_tables(coloring):
     return self
 
 
+def _cut_pair_join(coloring: Coloring, arcs):
+    """Join each arc of a cut pair to its antipode so same-colored
+    bundles cross."""
+    rt, rb, lb, lt = arcs
+    colors = coloring.colors
+    return _join(
+        (
+            [p for p in x_arc if colors[p] == color],
+            [p for p in y_arc if colors[p] != color],
+        )
+        for x_arc, y_arc in ((rt, lb), (rb, lt))
+        for color in (RED, BLUE)
+    )
+
+
+def _balanced_cut_partitions(coloring: Coloring):
+    """Balanced antipodal cut pairs, as ``((c1, c2), arcs)``.
+
+    The arcs are [c1, c2), [c2, c1+n) and their antipodes.  Each
+    unordered cut set {c1, c2, c1+n, c2+n} comes once, as 0 <= c1 <= c2
+    < n in lexicographic order.  A pair is balanced when [c1, c2) holds
+    as many red as blue core points, and that one test suffices.  Core
+    pairs are antipodal and monochromatic, so an arc and its antipode
+    hold the same core colors.  Bichromatic pairs hold one point of each
+    color, so the core has as many red pairs as blue; the half
+    [c1, c1+n) holds one point of each pair, so it is balanced, and so
+    is [c2, c1+n).  No size constraint is imposed on the split: Lemma
+    3's proof halves the core evenly, but the witness search wants every
+    shape.
+
+    The join of cut pair (c1, c2), as ``_cut_pair_join`` builds it, has
+    exactly C(n,2) - sum_t |S(t) - S(c1)| crossings, S being
+    ``_core_surplus`` and t running over 0 <= t < n.  The count does not
+    depend on c2, so every c2 ties for a given c1 and the first-best cut
+    pair is always some (c, c); ``_half_turn`` finds it in closed form.
+    """
+    n = coloring.n
+    surplus = _core_surplus(coloring)
+    # every arc is [lo, hi) with lo < 2n and hi - lo <= n, so a slice of
+    # two laps of the cycle gives its positions mod 2n
+    ring = tuple(range(coloring.size)) * 2
+    for c1 in range(n):
+        for c2 in range(c1, n):
+            if surplus[c2] == surplus[c1]:
+                yield (c1, c2), (
+                    ring[c1:c2],
+                    ring[c2:c1 + n],
+                    ring[c1 + n:c2 + n],
+                    ring[c2 + n:c1 + 2 * n],
+                )
+
+
 def _sixblock_frame(profile):
     """Fit a 6-run profile to the six-block pattern, if possible.
 
@@ -329,8 +386,9 @@ def _lemma3_candidates(coloring):
 
 def reference_lemma3_witness(coloring):
     """``construct.lemma3_witness`` before the block candidates were
-    dropped, verbatim: the cut-pair joins, then the exact 4-block
-    maximum, then the six-block join, keeping the first best."""
+    dropped and the cut-pair scan became the n half-turns, verbatim:
+    the cut-pair joins, then the exact 4-block maximum, then the
+    six-block join, keeping the first best."""
     best_pairs = None
     best_count = -1
     for pairs in _lemma3_candidates(coloring):

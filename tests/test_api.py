@@ -12,7 +12,8 @@ GONE = {
                          "is_canonical"),
     "convexmatch.construct": ("GroupPartition", "group_partition",
                               "_group_partition_matching",
-                              "_lemma3_candidates", "_sixblock_frame"),
+                              "_lemma3_candidates", "_sixblock_frame",
+                              "_balanced_cut_partitions", "_cut_pair_join"),
     "convexmatch.errors": ("EmptyAntipodalCore", "NoBalancedCuts"),
 }
 GONE_MEMBERS = (

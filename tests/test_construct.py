@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 import oracle
+from oracle import _balanced_cut_partitions, _cut_pair_join
 from convexmatch import (
     RED,
     BLUE,
@@ -27,8 +28,6 @@ from convexmatch import (
     sixblock_witness,
 )
 from convexmatch.construct import (
-    _balanced_cut_partitions,
-    _cut_pair_join,
     _half_turn,
     sixblock_sizes,
 )
@@ -41,6 +40,7 @@ from convexmatch.errors import (
     NotFourBlock,
     OddN,
     OutOfRange,
+    WitnessBelowBound,
 )
 
 
@@ -87,6 +87,15 @@ def test_alternating_max_matching_is_the_maximum():
     for n in (2, 4):
         col, m = alternating_max_matching(n)
         assert crossing_number(col, m) == oracle.maximum(str(col))
+
+
+def test_alternating_miscount_raises_alarm(monkeypatch):
+    import convexmatch.construct as construct
+
+    monkeypatch.setattr(construct, "crossing_number",
+                        lambda coloring, matching: comb2(coloring.n) - 1)
+    with pytest.raises(WitnessBelowBound):
+        alternating_max_matching(4)
 
 
 def test_alternating_rejects_odd_and_tiny():
@@ -335,7 +344,7 @@ def test_bundle_crossings_bound():
 
 def test_witness_regression_eight_runs():
     # lexicographically first cuts alone reach only 6 here; the witness
-    # must consider other balanced cut pairs to clear the bound of 7
+    # must consider other cuts c to clear the bound of 7
     col = Coloring("RRBRBRBRBB")
     matching, count = lemma3_witness(col)
     assert count == 9
@@ -343,23 +352,30 @@ def test_witness_regression_eight_runs():
     assert count >= balanced_fourblock_bound(5).value
 
 
-def test_witness_empty_core_uses_antipodal_family(monkeypatch):
-    matching, count = lemma3_witness(Coloring("RRBB"))
-    assert matching.sorted_edges == ((0, 2), (1, 3))
-    assert count == 1
-    # with an empty core the first cut pair, (0, 0), joins every point to
-    # its antipode; nothing beats its C(n,2) crossings, so it is the only
-    # candidate scored
+@pytest.fixture
+def calls(monkeypatch):
+    """Sizes passed to ``construct._crossing_count``: one per join the
+    witness scores."""
     import convexmatch.construct as construct
 
     real = construct._crossing_count
-    calls = []
+    seen = []
 
     def counting(pairs, size):
-        calls.append(size)
+        seen.append(size)
         return real(pairs, size)
 
     monkeypatch.setattr(construct, "_crossing_count", counting)
+    return seen
+
+
+def test_witness_empty_core_uses_antipodal_family(calls):
+    matching, count = lemma3_witness(Coloring("RRBB"))
+    assert matching.sorted_edges == ((0, 2), (1, 3))
+    assert count == 1
+    # with an empty core the first cut, c = 0, joins every point to its
+    # antipode; nothing beats its C(n,2) crossings, so it is the only
+    # candidate scored
     swap = str.maketrans("RB", "BR")
     for n in range(1, 9):
         for half in product("RB", repeat=n):
@@ -373,6 +389,19 @@ def test_witness_empty_core_uses_antipodal_family(monkeypatch):
             )
             assert count == n * (n - 1) // 2
             assert len(calls) == 1
+
+
+def test_witness_scores_at_most_one_join_per_cut(calls):
+    for n in range(1, 7):
+        for colors in oracle.colorings(n):
+            calls.clear()
+            lemma3_witness(Coloring(colors))
+            assert len(calls) <= n, colors
+    # no half-turn of a full core reaches C(n,2), so all 16 are scored;
+    # a scan of every balanced cut pair would score 23
+    calls.clear()
+    lemma3_witness(Coloring("R" * 8 + "B" * 8 + "R" * 8 + "B" * 8))
+    assert len(calls) == 16
 
 
 def test_witness_tiny():
