@@ -13,8 +13,9 @@ from convexmatch.cli import atlas
 for n in range(2, 7):
     print(f"n={n}: {len(enumerate_colorings(n))} orbits")
 
-# The sweep computes max crossings per orbit and returns the minimum,
-# i.e. the crossing number no coloring can avoid.  The balanced 4-block
+# The sweep returns the least max crossing number over all orbits,
+# i.e. the crossing number no coloring can avoid.  It searches only the
+# orbits its half-turn screen cannot rule out.  The balanced 4-block
 # coloring is always among the minimizers.
 value, minimizers = minmax_sweep(6)
 print("\nn=6 sweep value:", value)

@@ -18,7 +18,7 @@ import os
 import re
 import sys
 import time
-from math import cos, pi, sin
+from math import comb, cos, pi, sin
 
 from . import __version__
 from .compose import AchievableRange, compose
@@ -427,7 +427,7 @@ def _cmd_construct(ns) -> tuple[dict, int]:
     kind = ns.kind
     if kind == "alternating":
         coloring, matching = alternating_max_matching(ns.n)
-        count = crossing_number(coloring, matching)
+        count = comb(ns.n, 2) - ns.n // 2
     elif kind == "fourblock":
         if ns.blocks is not None:
             coloring = _runs_coloring(_parse_blocks(ns.blocks, 4))

@@ -391,7 +391,35 @@ def _half_turn(coloring: Coloring) -> tuple[list[tuple[int, int]], int]:
     walk.  That is ``lemma3_witness``'s join, which is also the first
     best of every balanced cut pair (c1, c2), since the count of (c1, c2)
     does not depend on c2 and (c1, c1) comes first.  The count is
-    C(n,2) minus that sum; it is not validated.
+    C(n,2) minus that sum; it is not validated here.  The min-max sweep
+    never builds most orbits, so it rests on the two facts below.
+
+    * The count.  Index the half H = [c, c+n) and its antipode H' by
+      u = 0..n-1 (points c+u and c+u+n).  Every edge of the join joins
+      H to H', so the edges from u to p(u) and from v to p(v), u < v,
+      cross exactly when p(u) < p(v): the non-crossing pairs are the
+      inversions of p.  p sends the reds of H in order onto the blues of
+      H', and the blues of H in order onto the reds of H', so it is
+      increasing on each of two classes and no three indices are
+      pairwise inverted.  For any permutation, p(u) - u is the number
+      of inversions with u on the left less those with u on the right;
+      here one of the two is 0, so the inversions number
+      sum_u max(0, p(u) - u), which counts, over every cut t, the u < t
+      with p(u) >= t.  Among indices below t, let RR, BB, RB and BR
+      count the pairs by their colours in H and H'.  H has RR + RB reds
+      and H' has RB + BB blues, and the red of rank i lands at or beyond
+      t exactly when i >= RB + BB, so max(0, RR - BB) reds cross cut t;
+      likewise max(0, BB - RR) blues.  RR - BB = S(c+t) - S(c), and the
+      walk is n-periodic, so the inversions sum to
+      sum_{t<n} |S(t) - S(c)|.
+    * Orbit invariance.  Positions p and p+n form the same pair as p+n
+      and p+2n, so rotating the coloring rotates the cyclic step
+      sequence and the walk becomes t -> S(t+r) - S(r) for some r;
+      reflecting reverses the steps, giving t -> S(r) - S(r-t); the
+      colour swap negates them, giving -S(t).  Each moves the walk's
+      values over one period by a translation and a sign, which leaves
+      min_m sum_t |S(t) - m|, and with it the count, the same on every
+      coloring of an orbit.
     """
     n = coloring.n
     surplus = _core_surplus(coloring)

@@ -38,23 +38,29 @@ only the counts, reads the same masks through ``_first_hits`` and
 decodes none.
 
 ``enumerate_colorings`` lists one canonical representative per symmetry
-orbit.  It generates the fixed-content necklaces, the strings that no
-rotation makes smaller, in sorted order, so the rotation images are
-never built; each necklace is kept when no image under reflection,
-colour swap or both is smaller.
+orbit, for the CLI's atlas.  It generates the fixed-content necklaces,
+the strings that no rotation makes smaller, in sorted order, so the
+rotation images are never built; each necklace is kept when no image
+under reflection, colour swap or both is smaller.
 
 ``minmax_sweep`` closes the loop with the closed-form bound: it computes
 the minimum over all colorings (one canonical representative per
 symmetry orbit) of the maximum crossing number and insists the two
-routes agree, raising a falsification alarm otherwise.  Every orbit
-runs one job.  A screen settles it when its best balanced cut-pair
-join, found in closed form by ``construct._half_turn`` and counted by
-the validating ``crossing_number``, exceeds the bound (the orbit cannot
-be a minimizer).  The orbits the screen leaves get the paper's Lemma-3
-witness for its alarm alone, since its count is the screen's, and then
-the search, capped at the bound and at ``max_nodes`` nodes each.  The
-job is mapped in-process or over a pool of at most ``os.cpu_count()``
-workers; there is no second path.
+routes agree, raising a falsification alarm otherwise.  It does not
+enumerate the orbits.  An orbit whose best balanced cut-pair join, the
+half-turn join of ``construct._half_turn``, counts above the bound
+cannot be a minimizer, and that count is a function of the orbit's
+core-surplus walk alone.  ``_screen_survivors`` walks the step
+sequences depth first, cutting every prefix whose walk cannot reach
+the deviation the bound asks for, and builds the canonical colorings
+of the walks that do: at n = 8 two of the 257 orbits, at n = 12 two of
+28,968.  The others are counted by ``_orbit_count``, Burnside's lemma
+in closed form.  Each survivor runs one job: its join, counted by the
+validating ``crossing_number``, must not exceed the bound, its Lemma-3
+witness is built for its alarm, and the search is capped at the bound
+and at ``max_nodes`` nodes.  The job is mapped in-process or over a
+pool of at most ``os.cpu_count()`` workers, and no more workers than
+survivors; there is no second path.
 
 Default size limits keep accidental combinatorial explosions out of
 interactive use; raise them through ``SearchBudget`` or the environment
@@ -68,7 +74,8 @@ from __future__ import annotations
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from math import comb
+from itertools import product
+from math import comb, gcd
 
 from .construct import _half_turn, balanced_fourblock_bound, lemma3_witness
 from .core import (
@@ -77,6 +84,7 @@ from .core import (
     Coloring,
     Matching,
     _SWAP,
+    _images,
     crossing_number,
 )
 from .errors import (
@@ -98,8 +106,8 @@ class SearchBudget:
 
     ``max_nodes`` caps visited assignment nodes (None = unlimited; per
     searched orbit in a sweep), ``jobs`` is the worker count for sweeps
-    (at most ``os.cpu_count()``), and ``max_n`` overrides the default
-    instance-size limit.
+    (at most ``os.cpu_count()`` and the orbits searched), and ``max_n``
+    overrides the default instance-size limit.
     """
 
     max_nodes: int | None = None
@@ -533,6 +541,108 @@ def enumerate_colorings(n: int) -> list[Coloring]:
     return [Coloring(c) for c in _necklaces(n) if _least_under_flips(c)]
 
 
+def _orbit_count(n: int) -> int:
+    """The number of symmetry orbits of balanced colorings of 2n points.
+
+    Burnside's lemma over the 8n symmetries, in closed form.  Rotation
+    by r has g = gcd(r, 2n) cycles of length L = 2n / g.  It fixes the
+    colorings constant on its cycles with n reds, C(g, n / L) when L
+    divides n, and with the colour swap the colorings that alternate
+    along every cycle, 2^g when L is even.  Of the 2n reflections, n fix
+    no point and have n 2-cycles, and n fix two points and have n - 1
+    2-cycles.  Alone, both kinds fix C(n, n/2) colorings when n is even;
+    when n is odd only the second kind fixes any, 2 C(n-1, (n-1)/2), one
+    of its fixed points red.  With the swap only the first kind fixes
+    any, 2^n.  ``tests/oracle.py`` counts the same from the cycles of
+    every permutation.
+    """
+    size = 2 * n
+    fixed = 0
+    for r in range(size):
+        cycles = gcd(r, size)
+        length = size // cycles
+        if n % length == 0:
+            fixed += comb(cycles, n // length)
+        if length % 2 == 0:
+            fixed += 2 ** cycles
+    if n % 2 == 0:
+        fixed += 2 * n * comb(n, n // 2)
+    else:
+        fixed += 2 * n * comb(n - 1, n // 2)
+    fixed += n * 2 ** n
+    return fixed // (8 * n)
+
+
+def _walk_caps(n: int) -> list[list[int]]:
+    """``caps[t][a]``: the most |S(t)| + ... + |S(n-1)| can be for a walk
+    with |S(t)| = a that steps by -1, 0 or +1 and is back at 0 after
+    step n - 1.  Only a <= n - t can get back, so ``caps[t]`` has
+    n - t + 1 entries; ``caps[n]`` is [0]."""
+    caps = [[0]]
+    for left in range(1, n + 1):  # steps still to take from t = n - left
+        after = caps[-1]
+        caps.append([
+            a + max(after[b] for b in (abs(a - 1), a, a + 1) if b < left)
+            for a in range(left + 1)
+        ])
+    caps.reverse()
+    return caps
+
+
+# the pair (t, t + n) for each step of the core-surplus walk
+_STEP_PAIRS = {1: ((RED, RED),), -1: ((BLUE, BLUE),),
+               0: ((RED, BLUE), (BLUE, RED))}
+
+
+def _screen_survivors(n: int, bound: int) -> list[str]:
+    """The canonical colorings whose half-turn screen counts at most
+    ``bound``, sorted: the orbits the screen cannot settle.
+
+    A coloring is its core-surplus walk (``construct._core_surplus``)
+    plus an orientation for each 0 step: step t is +1 when positions t
+    and t + n are both red, -1 when both are blue, and 0 when they
+    differ, in either order, and the n steps sum to 0.  The screen
+    counts C(n,2) - sum_t |S(t) - med| for a median med of the walk
+    (``construct._half_turn``), the same on every coloring of an orbit,
+    so an orbit survives exactly when its walks have that deviation at
+    least D = C(n,2) - ``bound``.  A depth-first search over the steps
+    keeps such walks; the deviation about 0 is at least the deviation
+    about the median, so a prefix whose sum of |S| plus ``_walk_caps``'
+    most for the rest falls short of D has no surviving completion and
+    is cut.  Each kept walk is expanded over both orientations of its
+    0 steps, and an expansion is kept when it is its own canonical form,
+    the least of its ``_images``.  Every coloring arises from exactly one
+    walk and orientation, so each surviving orbit comes once.
+    """
+    need = comb(n, 2) - bound
+    caps = _walk_caps(n)
+    steps = [0] * n
+    values = [0] * n  # S(0), ..., S(n-1) along the current walk
+    found = []
+
+    def walk(t: int, s: int, dev: int) -> None:
+        a = abs(s)
+        if a > n - t or dev + caps[t][a] < need:
+            return
+        if t == n:
+            med = sorted(values)[(n - 1) // 2]
+            if sum(abs(v - med) for v in values) >= need:
+                for pairs in product(*(_STEP_PAIRS[x] for x in steps)):
+                    colors = "".join(p[0] for p in pairs) + "".join(
+                        p[1] for p in pairs)
+                    if colors == min(_images(colors)):
+                        found.append(colors)
+            return
+        values[t] = s
+        for step in (-1, 0, 1):
+            steps[t] = step
+            walk(t + 1, s + step, dev + a)
+
+    walk(0, 0, 0)
+    found.sort()
+    return found
+
+
 def _sweep_job(args: tuple[str, int, int | None]) -> tuple[str, int | None]:
     """How one orbit was settled, and its maximum if at most ``bound``.
 
@@ -544,7 +654,8 @@ def _sweep_job(args: tuple[str, int, int | None]) -> tuple[str, int | None]:
     count is the screen's own, so it never settles the orbit.  The
     capped search then gives ``("search", value)``, with None for a
     maximum above the bound, or ``("budget", None)`` once it runs out
-    of nodes.
+    of nodes.  The sweep runs it only on ``_screen_survivors``, where a
+    ``"witness"`` means the closed-form screen count was wrong.
     """
     colors, bound, max_nodes = args
     coloring = Coloring(colors)
@@ -569,41 +680,50 @@ def minmax_sweep(
     Returns the value and every canonical coloring attaining it, and
     cross-checks the value against ``balanced_fourblock_bound``; any
     disagreement raises a falsification alarm.  Only an orbit whose
-    maximum is at most the bound can attain the minimum, so each orbit
-    is first screened by its best balanced cut-pair join, built in
-    closed form and counted by the validating ``crossing_number``: a
-    join counting above the bound drops the orbit with no search.  The
-    rest get their ``lemma3_witness``, whose count is that join's, so
-    it settles nothing but raises ``WitnessBelowBound`` below the bound,
-    and then the exact branch and bound, aborted once a matching beats
-    the bound.  ``budget.max_nodes`` caps each searched orbit
-    (witness-settled orbits spend no nodes); running out raises
-    ``BudgetExceeded``.  ``budget.jobs`` above 1, clamped to
-    the CPU count, maps the same per-orbit job over a process pool, so
-    results do not depend on the worker count.  A ``settled`` dict
-    receives how many orbits the witness screen and the search settled.
+    maximum is at most the bound can attain the minimum, and an orbit
+    whose half-turn join counts above the bound cannot, so only the
+    orbits that join leaves are built: ``_screen_survivors`` generates
+    them from their core-surplus walks, and the others are counted, not
+    enumerated, as ``_orbit_count`` less the survivors.  Each survivor
+    runs ``_sweep_job``: its join, counted by the validating
+    ``crossing_number``, must not exceed the bound, or the closed form
+    behind the screen is wrong and ``SweepMismatch`` is raised; its
+    ``lemma3_witness`` raises ``WitnessBelowBound`` below the bound; and
+    the exact branch and bound is aborted once a matching beats the
+    bound.  ``budget.max_nodes`` caps each searched orbit; running out
+    raises ``BudgetExceeded``.  ``budget.jobs`` above 1, clamped to the
+    CPU count and the survivor count, maps the same job over a process
+    pool, so results do not depend on the worker count.  A ``settled``
+    dict receives how many orbits the witness screen and the search
+    settled.
     """
     budget = budget or SearchBudget()
     _check_size(n, budget, "sweep")
     bound = balanced_fourblock_bound(n).value
-    reps = enumerate_colorings(n)
-    jobs = min(budget.jobs, os.cpu_count() or 1)
-    args = [(c.colors, bound, budget.max_nodes) for c in reps]
+    survivors = _screen_survivors(n, bound)
+    jobs = min(budget.jobs, os.cpu_count() or 1, len(survivors))
+    args = [(colors, bound, budget.max_nodes) for colors in survivors]
     if jobs > 1:
         from multiprocessing import Pool
 
-        chunk = max(1, len(reps) // (4 * jobs))
+        chunk = max(1, len(survivors) // (4 * jobs))
         with Pool(jobs) as pool:
             results = pool.map(_sweep_job, args, chunk)
     else:
         results = list(map(_sweep_job, args))
 
     hows = [how for how, _ in results]
+    if "witness" in hows:
+        raise SweepMismatch(
+            f"orbit {survivors[hows.index('witness')]} left by the screen "
+            f"has a half-turn join above the closed-form value {bound}"
+        )
     if "budget" in hows:
         raise BudgetExceeded(
-            f"node budget exhausted on orbit {reps[hows.index('budget')]}"
+            f"node budget exhausted on orbit {survivors[hows.index('budget')]}"
         )
-    exact = [(c, v) for c, (_, v) in zip(reps, results) if v is not None]
+    exact = [(Coloring(c), v) for c, (_, v) in zip(survivors, results)
+             if v is not None]
     if not exact:
         raise SweepMismatch(
             f"every orbit at n={n} exceeds the closed-form value {bound}"
@@ -616,7 +736,6 @@ def minmax_sweep(
             f"(minimizers: {[m.colors for m in minimizers]})"
         )
     if settled is not None:
-        settled.update(
-            (how, hows.count(how)) for how in ("witness", "search")
-        )
+        settled.update(witness=_orbit_count(n) - len(survivors),
+                       search=len(survivors))
     return low, minimizers

@@ -1,11 +1,12 @@
 """Brute-force reference implementations used to cross-check the package.
 
 Nothing here imports the package under test, apart from the exceptions
-``reference_dfs`` and ``reference_windows`` raise, the ``Coloring``
-that ``reference_colorings`` builds, the ``_images`` scan that
-``is_canonical`` reads, and the core-surplus walk, arc join,
+``reference_dfs``, ``reference_windows`` and ``reference_sweep`` raise,
+the ``Coloring`` that ``reference_colorings`` builds, the ``_images``
+scan that ``is_canonical`` reads, the core-surplus walk, arc join,
 constructions, counters and alarm that ``reference_lemma3_witness``
-scans, scores and raises.  Matchings are
+scans, scores and raises, and the orbit enumeration, size gate and
+per-orbit job that ``reference_sweep`` maps.  Matchings are
 enumerated through permutations, crossings through pairwise
 interleaving, and symmetry through string rotation, so any agreement
 with the library is evidence rather than tautology.  Sizes must stay small: all_matchings is n! and
@@ -24,8 +25,13 @@ and 6-block candidates.  The library scores only the n half-turn joins
 (c, c) and must give the same matching and count: the count of cut
 pair (c1, c2) does not depend on c2, and (c1, c1) comes before every
 (c1, c2), so the first-best cut pair is always a half-turn.
+``reference_sweep`` is the min-max sweep that ran ``_sweep_job`` on
+every orbit of ``enumerate_colorings``; the library builds only the
+orbits the half-turn screen leaves and must give the same value,
+minimizers and settled counts.
 """
 
+import os
 from bisect import bisect_left, bisect_right
 from itertools import combinations, permutations
 from math import comb
@@ -53,8 +59,15 @@ from convexmatch.core import (
 from convexmatch.errors import (
     BudgetExceeded,
     NoBalancedWindow,
+    SweepMismatch,
     TooSmall,
     WitnessBelowBound,
+)
+from convexmatch.search import (
+    SearchBudget,
+    _check_size,
+    _sweep_job,
+    enumerate_colorings,
 )
 
 WINDOW_POINTS = 14
@@ -407,3 +420,47 @@ def reference_lemma3_witness(coloring):
             f"bound is {bound}"
         )
     return matching, count
+
+
+def reference_sweep(n, budget=None, settled=None):
+    """``search.minmax_sweep`` before the screen survivors were
+    generated from the core-surplus walk, verbatim: ``_sweep_job`` on
+    every orbit of ``enumerate_colorings``, and the settled counts from
+    the jobs."""
+    budget = budget or SearchBudget()
+    _check_size(n, budget, "sweep")
+    bound = balanced_fourblock_bound(n).value
+    reps = enumerate_colorings(n)
+    jobs = min(budget.jobs, os.cpu_count() or 1)
+    args = [(c.colors, bound, budget.max_nodes) for c in reps]
+    if jobs > 1:
+        from multiprocessing import Pool
+
+        chunk = max(1, len(reps) // (4 * jobs))
+        with Pool(jobs) as pool:
+            results = pool.map(_sweep_job, args, chunk)
+    else:
+        results = list(map(_sweep_job, args))
+
+    hows = [how for how, _ in results]
+    if "budget" in hows:
+        raise BudgetExceeded(
+            f"node budget exhausted on orbit {reps[hows.index('budget')]}"
+        )
+    exact = [(c, v) for c, (_, v) in zip(reps, results) if v is not None]
+    if not exact:
+        raise SweepMismatch(
+            f"every orbit at n={n} exceeds the closed-form value {bound}"
+        )
+    low = min(v for _, v in exact)
+    minimizers = [c for c, v in exact if v == low]
+    if low != bound:
+        raise SweepMismatch(
+            f"sweep minimum {low} at n={n} contradicts closed form {bound} "
+            f"(minimizers: {[m.colors for m in minimizers]})"
+        )
+    if settled is not None:
+        settled.update(
+            (how, hows.count(how)) for how in ("witness", "search")
+        )
+    return low, minimizers

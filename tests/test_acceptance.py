@@ -254,3 +254,18 @@ def test_criterion_12_sweep_n12_two_fourblock_minimizers():
     report(12, time.time() - start, 120,
            "sweep over all 28968 orbits at n=12 equals the bound 48; the "
            "witness settles all but the two 4-block minimizers")
+
+
+def test_criterion_13_sweep_n14_single_balanced_fourblock_minimizer():
+    start = time.time()
+    settled = {}
+    value, minimizers = minmax_sweep(14, SearchBudget(max_n=14), settled)
+    assert value == balanced_fourblock_bound(14).value == 66
+    canon, _ = canonicalize(balanced_fourblock_coloring(14))
+    assert [str(c) for c in minimizers] == [str(canon)] == \
+        ["BBBBBBBRRRRRRRBBBBBBBRRRRRRR"]
+    assert settled == {"witness": 361269, "search": 1}
+    assert sum(settled.values()) == oracle.burnside_orbits(14)
+    report(13, time.time() - start, 60,
+           "sweep over all 361270 orbits at n=14 equals the bound 66; only "
+           "the balanced 4-block orbit is built and searched")

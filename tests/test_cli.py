@@ -259,6 +259,18 @@ def test_construct_alternating(capsys):
     assert result["matching"]["text"] == "0-5,1-4,2-7,3-6"
 
 
+def test_construct_alternating_counts_once(capsys, monkeypatch):
+    # the construction validates its own count; the CLI reports the
+    # closed form C(n,2) - n/2 without recounting
+    def recount(coloring, matching):
+        raise AssertionError("construct alternating recounted its matching")
+
+    monkeypatch.setattr(convexmatch.cli, "crossing_number", recount)
+    code, report = run_json(capsys, ["construct", "alternating", "--n", "6"])
+    assert code == 0
+    assert report["result"]["count"] == 12
+
+
 def test_construct_fourblock(capsys):
     code, report = run_json(
         capsys, ["construct", "fourblock", "--blocks", "4,4,4,4"]

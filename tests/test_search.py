@@ -9,6 +9,7 @@ import pytest
 import oracle
 from convexmatch import (
     Coloring,
+    Matching,
     SearchBudget,
     balanced_fourblock_bound,
     canonicalize,
@@ -265,28 +266,75 @@ def screen_off(monkeypatch):
 
 
 def test_sweep_without_witnesses_is_unchanged(monkeypatch):
+    # with neither the screen nor the witness settling anything, every
+    # orbit is searched; the survivor generator does not read either
     def settles_nothing(coloring):
         return plane_matching(coloring), 0
 
     screened = sweep(6)
     screen_off(monkeypatch)
     monkeypatch.setattr(search, "lemma3_witness", settles_nothing)
-    value, minimizers, settled = sweep(6)
-    assert (value, minimizers) == screened[:2]
+    settled = {}
+    value, minimizers = oracle.reference_sweep(6, None, settled)
+    assert (value, [str(c) for c in minimizers]) == screened[:2]
     assert settled == {"witness": 0, "search": len(enumerate_colorings(6))}
+    assert sweep(6) == screened
 
 
 def test_sweep_with_screen_equals_sweep_without(monkeypatch):
-    # the Lemma-3 witness counts what the screen counts, so with the
-    # screen off it settles nothing and every orbit is searched
+    # the sweep builds only the screen's survivors; an unscreened capped
+    # search of every orbit finds the same value and minimizers, and the
+    # sweep's two counts add up to the orbit count
     budget = SearchBudget(max_n=10)
-    screened = {n: sweep(n, budget)[:2] for n in range(2, 11)}
+    screened = {n: sweep(n, budget) for n in range(2, 11)}
     screen_off(monkeypatch)
-    for n, expected in screened.items():
-        value, minimizers, settled = sweep(n, budget)
-        assert (value, minimizers) == expected, n
-        assert settled == {"witness": 0,
-                           "search": len(enumerate_colorings(n))}, n
+    for n, (value, minimizers, counts) in screened.items():
+        orbits = len(enumerate_colorings(n))
+        settled = {}
+        expected = oracle.reference_sweep(n, budget, settled)
+        assert (value, minimizers) == \
+            (expected[0], [str(c) for c in expected[1]]), n
+        assert settled == {"witness": 0, "search": orbits}, n
+        assert counts["witness"] + counts["search"] == orbits, n
+
+
+def test_screen_survivors_are_the_screened_orbits():
+    # the walk generator against the screen as _sweep_job runs it: the
+    # validating count of each orbit's half-turn join, at most the bound
+    for n in range(1, 13):
+        bound = balanced_fourblock_bound(n).value
+        reps = enumerate_colorings(n)
+        screened = [
+            c.colors for c in reps
+            if crossing_number(
+                c, Matching.from_pairs(construct._half_turn(c)[0])) <= bound
+        ]
+        assert search._screen_survivors(n, bound) == screened, n
+        assert search._orbit_count(n) == len(reps), n
+
+
+def test_orbit_count_matches_burnside():
+    for n in range(1, 25):
+        assert search._orbit_count(n) == oracle.burnside_orbits(n), n
+
+
+def test_sweep_does_not_enumerate_orbits(monkeypatch):
+    def refused(n):
+        raise AssertionError("the sweep enumerated every orbit")
+
+    monkeypatch.setattr(search, "enumerate_colorings", refused)
+    assert sweep(8) == (20, ["BBBBBRRRRBBBRRRR", "BBBBRRRRBBBBRRRR"],
+                        {"witness": 255, "search": 2})
+
+
+def test_sweep_mismatch_when_a_survivor_beats_the_bound(monkeypatch):
+    # the alternating orbit's half-turn join counts above the bound, so
+    # a generator that lets it through contradicts the screen
+    generate = search._screen_survivors
+    monkeypatch.setattr(search, "_screen_survivors", lambda n, bound: sorted(
+        generate(n, bound) + ["BR" * n]))
+    with pytest.raises(SweepMismatch, match="BRBRBRBRBRBRBRBR"):
+        minmax_sweep(8)
 
 
 def test_witness_below_bound_stops_the_sweep(monkeypatch, capsys):
@@ -339,12 +387,15 @@ def test_sweep_jobs_clamped_to_cpu_count(monkeypatch):
             return list(map(func, iterable))
 
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    expected = sweep(4)
-    for cpus, pools in ((None, []), (1, []), (3, [3])):
-        workers.clear()
-        monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
-        assert sweep(4, SearchBudget(jobs=64)) == expected
-        assert workers == pools
+    # n = 4 leaves three orbits to search and n = 6 one, and the pool
+    # never has more workers than orbits
+    for n, pools_at_3 in ((4, [3]), (6, [])):
+        expected = sweep(n)
+        for cpus, pools in ((None, []), (1, []), (3, pools_at_3)):
+            workers.clear()
+            monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+            assert sweep(n, SearchBudget(jobs=64)) == expected
+            assert workers == pools
 
 
 def test_size_limits():
