@@ -23,12 +23,14 @@ A half-turn join (``_half_join``) joins the half [c, c+n) to its
 antipode.  It stands for every balanced antipodal cut pair (c1, c2)
 with c1 = c: the join of that pair's arcs has exactly
 C(n,2) - sum_{t<n} |S(t) - S(c1)| crossings, where S is the
-core-surplus walk (``_core_surplus``).  The count does not depend on
+core-surplus walk (S(0) = 0, and step t adds +1 when positions t and
+t+n are both red, -1 when both are blue).  The count does not depend on
 c2, and in lexicographic order (c1, c1) comes before every (c1, c2), so
 the first-best cut pair is always some (c, c) and scoring the n
 half-turns finds it.  ``tests/oracle.py`` keeps the scan over every cut
-pair as the reference.  ``_half_turn`` picks the same join and its
-count in closed form; the min-max sweep screens orbits with it.
+pair, and the same join picked in closed form from the medians of S,
+as references.  The min-max sweep settles each orbit it builds with
+one witness; ``search._screen_survivors`` proves its count.
 
 The constructions share one arc join (``_join``, index by index), one
 scan of block frames (``_frames``) and one builder from run sizes to a
@@ -350,22 +352,6 @@ def _sixblock_shape(sizes) -> tuple[int, int, int] | None:
     return (s1 - 1) // 2, s3, s2
 
 
-def _core_surplus(coloring: Coloring) -> list[int]:
-    """The core-surplus walk S(0), ..., S(n-1).
-
-    S(c) counts the red minus the blue core points before cut c:
-    S(0) = 0, and step t adds +1 when positions t and t+n are both red,
-    -1 when both are blue and 0 otherwise.  A balanced coloring has as
-    many red core pairs as blue, so the walk is n-periodic.
-    """
-    colors, n = coloring.colors, coloring.n
-    surplus = [0]
-    for p, color in enumerate(colors[:n - 1]):
-        step = (1 if color == RED else -1) if color == colors[p + n] else 0
-        surplus.append(surplus[-1] + step)
-    return surplus
-
-
 def _half_join(coloring: Coloring, c: int) -> list[tuple[int, int]]:
     """Join the half [c, c+n) to its antipode so same-colored bundles
     cross: the half's red points, in order, to the antipodal half's blue
@@ -380,55 +366,6 @@ def _half_join(coloring: Coloring, c: int) -> list[tuple[int, int]]:
         )
         for color in (RED, BLUE)
     )
-
-
-def _half_turn(coloring: Coloring) -> tuple[list[tuple[int, int]], int]:
-    """The witness's best half-turn join and its count, with no scoring.
-
-    The join ``_half_join(coloring, c)`` has C(n,2) - sum_t |S(t) - S(c)|
-    crossings, so the first-best half-turn is the first c whose S(c)
-    minimises that deviation sum: any value between the medians of the
-    walk.  That is ``lemma3_witness``'s join, which is also the first
-    best of every balanced cut pair (c1, c2), since the count of (c1, c2)
-    does not depend on c2 and (c1, c1) comes first.  The count is
-    C(n,2) minus that sum; it is not validated here.  The min-max sweep
-    never builds most orbits, so it rests on the two facts below.
-
-    * The count.  Index the half H = [c, c+n) and its antipode H' by
-      u = 0..n-1 (points c+u and c+u+n).  Every edge of the join joins
-      H to H', so the edges from u to p(u) and from v to p(v), u < v,
-      cross exactly when p(u) < p(v): the non-crossing pairs are the
-      inversions of p.  p sends the reds of H in order onto the blues of
-      H', and the blues of H in order onto the reds of H', so it is
-      increasing on each of two classes and no three indices are
-      pairwise inverted.  For any permutation, p(u) - u is the number
-      of inversions with u on the left less those with u on the right;
-      here one of the two is 0, so the inversions number
-      sum_u max(0, p(u) - u), which counts, over every cut t, the u < t
-      with p(u) >= t.  Among indices below t, let RR, BB, RB and BR
-      count the pairs by their colours in H and H'.  H has RR + RB reds
-      and H' has RB + BB blues, and the red of rank i lands at or beyond
-      t exactly when i >= RB + BB, so max(0, RR - BB) reds cross cut t;
-      likewise max(0, BB - RR) blues.  RR - BB = S(c+t) - S(c), and the
-      walk is n-periodic, so the inversions sum to
-      sum_{t<n} |S(t) - S(c)|.
-    * Orbit invariance.  Positions p and p+n form the same pair as p+n
-      and p+2n, so rotating the coloring rotates the cyclic step
-      sequence and the walk becomes t -> S(t+r) - S(r) for some r;
-      reflecting reverses the steps, giving t -> S(r) - S(r-t); the
-      colour swap negates them, giving -S(t).  Each moves the walk's
-      values over one period by a translation and a sign, which leaves
-      min_m sum_t |S(t) - m|, and with it the count, the same on every
-      coloring of an orbit.
-    """
-    n = coloring.n
-    surplus = _core_surplus(coloring)
-    ranked = sorted(surplus)
-    # the deviation sum is least exactly at the values between the medians
-    low, high = ranked[(n - 1) // 2], ranked[n // 2]
-    c = next(c for c, s in enumerate(surplus) if low <= s <= high)
-    count = comb(n, 2) - sum(abs(s - surplus[c]) for s in surplus)
-    return _half_join(coloring, c), count
 
 
 def lemma3_witness(coloring: Coloring) -> tuple[Matching, int]:

@@ -47,26 +47,23 @@ under reflection, colour swap or both is smaller.
 the minimum over all colorings (one canonical representative per
 symmetry orbit) of the maximum crossing number and insists the two
 routes agree, raising a falsification alarm otherwise.  It does not
-enumerate the orbits.  An orbit whose best balanced cut-pair join, the
-half-turn join of ``construct._half_turn``, counts above the bound
-cannot be a minimizer, and that count is a function of the orbit's
-core-surplus walk alone.  ``_screen_survivors`` walks the step
+enumerate the orbits.  An orbit whose Lemma-3 witness counts above the
+bound cannot be a minimizer, and that count is a function of the
+orbit's core-surplus walk alone.  ``_screen_survivors`` walks the step
 sequences depth first, cutting every prefix whose walk cannot reach
 the deviation the bound asks for, and builds the canonical colorings
 of the walks that do: at n = 8 two of the 257 orbits, at n = 12 two of
 28,968.  The others are counted by ``_orbit_count``, Burnside's lemma
-in closed form.  Each survivor runs one job: its join, counted by the
-validating ``crossing_number``, must not exceed the bound, its Lemma-3
-witness is built for its alarm, and the search is capped at the bound
-and at ``max_nodes`` nodes.  The job is mapped in-process or over a
-pool of at most ``os.cpu_count()`` workers, and no more workers than
-survivors; there is no second path.
+in closed form.  Each survivor runs one job: its witness must not
+exceed the bound, and the search is capped at the bound and at
+``max_nodes`` nodes.  The job is mapped in-process or over a pool of at
+most ``os.cpu_count()`` workers, and no more workers than survivors;
+there is no second path.
 
-Default size limits keep accidental combinatorial explosions out of
-interactive use; raise them through ``SearchBudget`` or the environment
-variables ``CONVEXMATCH_MAX_N`` and ``CONVEXMATCH_SWEEP_MAX_N``.  One
-gate, ``_check_size``, applies them to the searches, the sweep and the
-CLI's atlas.
+A default size limit keeps accidental combinatorial explosions out of
+interactive use; raise it through ``SearchBudget`` or the environment
+variable ``CONVEXMATCH_MAX_N``.  One gate, ``_check_size``, applies it
+to the searches, the sweep and the CLI's atlas.
 """
 
 from __future__ import annotations
@@ -77,7 +74,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import comb, gcd
 
-from .construct import _half_turn, balanced_fourblock_bound, lemma3_witness
+from .construct import balanced_fourblock_bound, lemma3_witness
 from .core import (
     BLUE,
     RED,
@@ -85,7 +82,6 @@ from .core import (
     Matching,
     _SWAP,
     _images,
-    crossing_number,
 )
 from .errors import (
     BudgetExceeded,
@@ -97,7 +93,6 @@ from .errors import (
 )
 
 DEFAULT_SEARCH_LIMIT = 10
-DEFAULT_SWEEP_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -132,31 +127,25 @@ class SearchBudget:
             raise OutOfRange(f"max_n={brief(self.max_n)} is below 1")
 
 
-_LIMITS = {
-    "search": ("CONVEXMATCH_MAX_N", DEFAULT_SEARCH_LIMIT),
-    "sweep": ("CONVEXMATCH_SWEEP_MAX_N", DEFAULT_SWEEP_LIMIT),
-}
-
-
-def _check_size(n: int, budget: SearchBudget, kind: str = "search"):
-    """Reject an n above the ``kind`` limit: ``budget.max_n`` if set,
-    else the limit's environment variable, else its default."""
-    name, limit = _LIMITS[kind]
+def _check_size(n: int, budget: SearchBudget):
+    """Reject an n above the search limit: ``budget.max_n`` if set, else
+    ``CONVEXMATCH_MAX_N``, else ``DEFAULT_SEARCH_LIMIT``."""
+    limit = DEFAULT_SEARCH_LIMIT
     if budget.max_n is not None:
         limit = budget.max_n
-    elif (text := os.environ.get(name)) is not None:
+    elif (text := os.environ.get("CONVEXMATCH_MAX_N")) is not None:
         try:
             limit = int(text)
         except ValueError:
             raise OutOfRange(
-                f"{name}={brief_text(text)} is not an integer"
+                f"CONVEXMATCH_MAX_N={brief_text(text)} is not an integer"
             ) from None
         if limit < 1:
-            raise OutOfRange(f"{name}={brief(limit)} is below 1")
+            raise OutOfRange(f"CONVEXMATCH_MAX_N={brief(limit)} is below 1")
     if n > limit:
         raise SizeLimitExceeded(
-            f"n={brief(n)} exceeds {kind} limit {brief(limit)}; raise it "
-            f"via SearchBudget(max_n=...) or {name}"
+            f"n={brief(n)} exceeds search limit {brief(limit)}; raise it "
+            "via SearchBudget(max_n=...) or CONVEXMATCH_MAX_N"
         )
 
 
@@ -595,16 +584,19 @@ _STEP_PAIRS = {1: ((RED, RED),), -1: ((BLUE, BLUE),),
 
 
 def _screen_survivors(n: int, bound: int) -> list[str]:
-    """The canonical colorings whose half-turn screen counts at most
-    ``bound``, sorted: the orbits the screen cannot settle.
+    """The canonical colorings whose Lemma-3 witness counts at most
+    ``bound``, sorted: the orbits a witness cannot settle.
 
-    A coloring is its core-surplus walk (``construct._core_surplus``)
-    plus an orientation for each 0 step: step t is +1 when positions t
-    and t + n are both red, -1 when both are blue, and 0 when they
-    differ, in either order, and the n steps sum to 0.  The screen
-    counts C(n,2) - sum_t |S(t) - med| for a median med of the walk
-    (``construct._half_turn``), the same on every coloring of an orbit,
-    so an orbit survives exactly when its walks have that deviation at
+    A coloring is its core-surplus walk S(0) = 0, ..., S(n-1) plus an
+    orientation for each 0 step: step t is +1 when positions t and t + n
+    are both red, -1 when both are blue, and 0 when they differ, in
+    either order, and the n steps sum to 0.  ``lemma3_witness`` keeps
+    the best half-turn join ``construct._half_join(coloring, c)``, so by
+    the two facts below it counts C(n,2) - min_c sum_t |S(t) - S(c)|,
+    which is C(n,2) - sum_t |S(t) - med| for a median med of the walk,
+    since the deviation sum is least at a median and the lower median is
+    some S(c).  The count is the same on every coloring of an orbit, so
+    an orbit survives exactly when its walks have that deviation at
     least D = C(n,2) - ``bound``.  A depth-first search over the steps
     keeps such walks; the deviation about 0 is at least the deviation
     about the median, so a prefix whose sum of |S| plus ``_walk_caps``'
@@ -613,6 +605,34 @@ def _screen_survivors(n: int, bound: int) -> list[str]:
     0 steps, and an expansion is kept when it is its own canonical form,
     the least of its ``_images``.  Every coloring arises from exactly one
     walk and orientation, so each surviving orbit comes once.
+    ``tests/oracle.py`` keeps the closed-form join as the reference.
+
+    * The count.  Index the half H = [c, c+n) and its antipode H' by
+      u = 0..n-1 (points c+u and c+u+n).  Every edge of the join joins
+      H to H', so the edges from u to p(u) and from v to p(v), u < v,
+      cross exactly when p(u) < p(v): the non-crossing pairs are the
+      inversions of p.  p sends the reds of H in order onto the blues of
+      H', and the blues of H in order onto the reds of H', so it is
+      increasing on each of two classes and no three indices are
+      pairwise inverted.  For any permutation, p(u) - u is the number
+      of inversions with u on the left less those with u on the right;
+      here one of the two is 0, so the inversions number
+      sum_u max(0, p(u) - u), which counts, over every cut t, the u < t
+      with p(u) >= t.  Among indices below t, let RR, BB, RB and BR
+      count the pairs by their colours in H and H'.  H has RR + RB reds
+      and H' has RB + BB blues, and the red of rank i lands at or beyond
+      t exactly when i >= RB + BB, so max(0, RR - BB) reds cross cut t;
+      likewise max(0, BB - RR) blues.  RR - BB = S(c+t) - S(c), and the
+      walk is n-periodic, so the inversions sum to
+      sum_{t<n} |S(t) - S(c)|.
+    * Orbit invariance.  Positions p and p+n form the same pair as p+n
+      and p+2n, so rotating the coloring rotates the cyclic step
+      sequence and the walk becomes t -> S(t+r) - S(r) for some r;
+      reflecting reverses the steps, giving t -> S(r) - S(r-t); the
+      colour swap negates them, giving -S(t).  Each moves the walk's
+      values over one period by a translation and a sign, which leaves
+      min_m sum_t |S(t) - m|, and with it the count, the same on every
+      coloring of an orbit.
     """
     need = comb(n, 2) - bound
     caps = _walk_caps(n)
@@ -646,12 +666,9 @@ def _screen_survivors(n: int, bound: int) -> list[str]:
 def _sweep_job(args: tuple[str, int, int | None]) -> tuple[str, int | None]:
     """How one orbit was settled, and its maximum if at most ``bound``.
 
-    The screen: ``_half_turn`` joins the best balanced cut pair in
-    closed form, and when the validating ``crossing_number`` of that
-    join exceeds the bound, the orbit is settled as ``("witness", None)``.
-    An orbit the screen leaves still gets ``lemma3_witness``, only for
-    its alarm: a witness below the bound raises, uncaught here.  Its
-    count is the screen's own, so it never settles the orbit.  The
+    One ``lemma3_witness``, counted by the validating ``crossing_number``,
+    settles the orbit as ``("witness", None)`` when it exceeds the
+    bound; below the bound it raises its alarm, uncaught here.  The
     capped search then gives ``("search", value)``, with None for a
     maximum above the bound, or ``("budget", None)`` once it runs out
     of nodes.  The sweep runs it only on ``_screen_survivors``, where a
@@ -659,10 +676,8 @@ def _sweep_job(args: tuple[str, int, int | None]) -> tuple[str, int | None]:
     """
     colors, bound, max_nodes = args
     coloring = Coloring(colors)
-    pairs, _ = _half_turn(coloring)
-    if crossing_number(coloring, Matching.from_pairs(pairs)) > bound:
+    if lemma3_witness(coloring)[1] > bound:
         return "witness", None
-    lemma3_witness(coloring)
     try:
         result = _max_search(_Tables(coloring), bound, max_nodes)
     except BudgetExceeded:
@@ -681,15 +696,14 @@ def minmax_sweep(
     cross-checks the value against ``balanced_fourblock_bound``; any
     disagreement raises a falsification alarm.  Only an orbit whose
     maximum is at most the bound can attain the minimum, and an orbit
-    whose half-turn join counts above the bound cannot, so only the
-    orbits that join leaves are built: ``_screen_survivors`` generates
-    them from their core-surplus walks, and the others are counted, not
-    enumerated, as ``_orbit_count`` less the survivors.  Each survivor
-    runs ``_sweep_job``: its join, counted by the validating
-    ``crossing_number``, must not exceed the bound, or the closed form
-    behind the screen is wrong and ``SweepMismatch`` is raised; its
-    ``lemma3_witness`` raises ``WitnessBelowBound`` below the bound; and
-    the exact branch and bound is aborted once a matching beats the
+    whose Lemma-3 witness counts above the bound cannot, so only the
+    orbits that witness leaves are built: ``_screen_survivors``
+    generates them from their core-surplus walks, and the others are
+    counted, not enumerated, as ``_orbit_count`` less the survivors.
+    Each survivor runs ``_sweep_job``: its ``lemma3_witness`` must not
+    exceed the bound, or the closed form behind the screen is wrong and
+    ``SweepMismatch`` is raised, and raises ``WitnessBelowBound`` below
+    it; the exact branch and bound is aborted once a matching beats the
     bound.  ``budget.max_nodes`` caps each searched orbit; running out
     raises ``BudgetExceeded``.  ``budget.jobs`` above 1, clamped to the
     CPU count and the survivor count, maps the same job over a process
@@ -698,7 +712,7 @@ def minmax_sweep(
     settled.
     """
     budget = budget or SearchBudget()
-    _check_size(n, budget, "sweep")
+    _check_size(n, budget)
     bound = balanced_fourblock_bound(n).value
     survivors = _screen_survivors(n, bound)
     jobs = min(budget.jobs, os.cpu_count() or 1, len(survivors))

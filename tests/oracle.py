@@ -3,9 +3,9 @@
 Nothing here imports the package under test, apart from the exceptions
 ``reference_dfs``, ``reference_windows`` and ``reference_sweep`` raise,
 the ``Coloring`` that ``reference_colorings`` builds, the ``_images``
-scan that ``is_canonical`` reads, the core-surplus walk, arc join,
-constructions, counters and alarm that ``reference_lemma3_witness``
-scans, scores and raises, and the orbit enumeration, size gate and
+scan that ``is_canonical`` reads, the arc joins, constructions,
+counters and alarm that ``reference_lemma3_witness`` and ``_half_turn``
+build, score and raise, and the orbit enumeration, size gate and
 per-orbit job that ``reference_sweep`` maps.  Matchings are
 enumerated through permutations, crossings through pairwise
 interleaving, and symmetry through string rotation, so any agreement
@@ -25,6 +25,9 @@ and 6-block candidates.  The library scores only the n half-turn joins
 (c, c) and must give the same matching and count: the count of cut
 pair (c1, c2) does not depend on c2, and (c1, c1) comes before every
 (c1, c2), so the first-best cut pair is always a half-turn.
+``_half_turn`` is that join picked in closed form from the medians of
+the core-surplus walk ``_core_surplus``, with its count; the sweep's
+survivor generator rests on the same count.
 ``reference_sweep`` is the min-max sweep that ran ``_sweep_job`` on
 every orbit of ``enumerate_colorings``; the library builds only the
 orbits the half-turn screen leaves and must give the same value,
@@ -38,8 +41,8 @@ from math import comb
 from types import SimpleNamespace
 
 from convexmatch.construct import (
-    _core_surplus,
     _frames,
+    _half_join,
     _join,
     _sixblock_joins,
     _sixblock_shape,
@@ -331,6 +334,40 @@ def _cut_pair_join(coloring: Coloring, arcs):
     )
 
 
+def _core_surplus(coloring: Coloring) -> list[int]:
+    """The core-surplus walk S(0), ..., S(n-1).
+
+    S(c) counts the red minus the blue core points before cut c:
+    S(0) = 0, and step t adds +1 when positions t and t+n are both red,
+    -1 when both are blue and 0 otherwise.  A balanced coloring has as
+    many red core pairs as blue, so the walk is n-periodic.
+    """
+    colors, n = coloring.colors, coloring.n
+    surplus = [0]
+    for p, color in enumerate(colors[:n - 1]):
+        step = (1 if color == RED else -1) if color == colors[p + n] else 0
+        surplus.append(surplus[-1] + step)
+    return surplus
+
+
+def _half_turn(coloring: Coloring):
+    """The witness's best half-turn join and its count, with no scoring.
+
+    The join ``_half_join(coloring, c)`` has C(n,2) - sum_t |S(t) - S(c)|
+    crossings (proved in ``search._screen_survivors``), so the
+    first-best half-turn is the first c whose S(c) lies between the
+    medians of the walk, where that deviation sum is least.  The count
+    is C(n,2) minus that sum, not validated here.
+    """
+    n = coloring.n
+    surplus = _core_surplus(coloring)
+    ranked = sorted(surplus)
+    low, high = ranked[(n - 1) // 2], ranked[n // 2]
+    c = next(c for c, s in enumerate(surplus) if low <= s <= high)
+    count = comb(n, 2) - sum(abs(s - surplus[c]) for s in surplus)
+    return _half_join(coloring, c), count
+
+
 def _balanced_cut_partitions(coloring: Coloring):
     """Balanced antipodal cut pairs, as ``((c1, c2), arcs)``.
 
@@ -428,7 +465,7 @@ def reference_sweep(n, budget=None, settled=None):
     every orbit of ``enumerate_colorings``, and the settled counts from
     the jobs."""
     budget = budget or SearchBudget()
-    _check_size(n, budget, "sweep")
+    _check_size(n, budget)
     bound = balanced_fourblock_bound(n).value
     reps = enumerate_colorings(n)
     jobs = min(budget.jobs, os.cpu_count() or 1)

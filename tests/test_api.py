@@ -4,7 +4,7 @@ import importlib
 
 import convexmatch
 
-# names deleted because nothing but their own tests read them
+# names deleted, or moved to tests/oracle.py, because only tests read them
 GONE = {
     "convexmatch": ("GroupPartition", "group_partition", "AntipodalProfile",
                     "antipodal_profile", "is_canonical"),
@@ -13,7 +13,9 @@ GONE = {
     "convexmatch.construct": ("GroupPartition", "group_partition",
                               "_group_partition_matching",
                               "_lemma3_candidates", "_sixblock_frame",
-                              "_balanced_cut_partitions", "_cut_pair_join"),
+                              "_balanced_cut_partitions", "_cut_pair_join",
+                              "_half_turn", "_core_surplus"),
+    "convexmatch.search": ("DEFAULT_SWEEP_LIMIT", "_LIMITS"),
     "convexmatch.errors": ("EmptyAntipodalCore", "NoBalancedCuts"),
 }
 GONE_MEMBERS = (

@@ -56,7 +56,7 @@ def test_exit_codes(capsys, monkeypatch):
     assert main(["bound", "--n", "8"]) == 0
     assert main(["find", "--coloring", "RBRB", "--k", "1"]) == 1
     assert main(["construct", "alternating", "--n", "3"]) == 2
-    assert main(["sweep", "--n", "9"]) == 2
+    assert main(["sweep", "--n", "11"]) == 2
     assert main(["bound", "--n", "not-a-number"]) == 2
     assert main(["bound", "--n", "9" * 3000]) == 2
     assert main(["no-such-command"]) == 2

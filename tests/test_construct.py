@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 import oracle
-from oracle import _balanced_cut_partitions, _cut_pair_join
+from oracle import _balanced_cut_partitions, _cut_pair_join, _half_turn
 from convexmatch import (
     RED,
     BLUE,
@@ -27,10 +27,7 @@ from convexmatch import (
     sixblock_crossing_count,
     sixblock_witness,
 )
-from convexmatch.construct import (
-    _half_turn,
-    sixblock_sizes,
-)
+from convexmatch.construct import sixblock_sizes
 from convexmatch.core import (
     _crossing_count,
     all_symmetries,
@@ -467,18 +464,14 @@ def cut_pair_cases():
 def core_surplus(colors):
     """S(t) for t < n: red minus blue monochromatic antipodal pairs
     among positions 0..t-1."""
-    n = len(colors) // 2
-    walk = [0]
-    for t in range(n - 1):
-        mono = colors[t] == colors[t + n]
-        step = (1 if colors[t] == "R" else -1) if mono else 0
-        walk.append(walk[-1] + step)
-    return walk
+    return oracle._core_surplus(Coloring(colors))
 
 
 def test_cut_pair_joins_count_in_closed_form():
     # every cut pair (c1, c2) joins into C(n,2) - sum_t |S(t) - S(c1)|
-    # crossings, and _half_turn is the scan's first-best join and count
+    # crossings, and both the closed-form _half_turn and lemma3_witness
+    # are the scan's first-best join and count; the sweep's "witness"
+    # check rests on that identity
     for colors in cut_pair_cases():
         col = Coloring(colors)
         walk = core_surplus(colors)
@@ -491,6 +484,8 @@ def test_cut_pair_joins_count_in_closed_form():
             if best is None or count > best[1]:
                 best = pairs, count
         assert _half_turn(col) == best, colors
+        assert lemma3_witness(col) == \
+            (Matching.from_pairs(best[0]), best[1]), colors
 
 
 # ------------------------------------------- witness without block candidates

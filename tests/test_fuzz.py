@@ -15,7 +15,8 @@ or 2 without raising.  Exit 3 is a falsification alarm and fails the
 test; it is never filtered out.  Sizes stay small by construction
 (``spectrum`` at n <= 8, as one alternating spectrum at n = 10 takes
 about 0.6 s; ``max`` and ``find`` at n <= 11, across the default search
-gate, which accepts n = 10 and refuses n = 11; ``sweep`` at n <= 7,
+gate, which accepts n = 10 and refuses n = 11; ``sweep`` at n <= 11,
+across the same gate, as a sweep at n = 10 takes a few milliseconds;
 ``atlas`` at n <= 4, constructions from sizes <= 60), so the draws take
 about a second.
 """
@@ -179,7 +180,7 @@ def draw(rng, tmp_path, index):
                coloring_token(rng, rng.randint(1, 60), True))
         option(rng, argv, "--k", number(rng, -2, 400, huge=True))
     elif command == "sweep":
-        option(rng, argv, "--n", number(rng, 1, 7, huge=True))
+        option(rng, argv, "--n", number(rng, 1, 11, huge=True))
         if rng.random() < 0.4:
             argv += ["--jobs", number(rng, 1, 2)]
     elif command == "atlas":
@@ -202,7 +203,6 @@ def draw(rng, tmp_path, index):
 
 def test_cli_fuzz_exits_0_1_or_2(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("CONVEXMATCH_MAX_N", raising=False)
-    monkeypatch.delenv("CONVEXMATCH_SWEEP_MAX_N", raising=False)
     rng = random.Random(SEED)
     for index in range(DRAWS):
         argv = draw(rng, tmp_path, index)

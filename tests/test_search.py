@@ -259,21 +259,17 @@ def test_sweep_job_equals_capped_search():
 
 
 def screen_off(monkeypatch):
-    """Make the half-turn screen settle nothing: its join becomes the
-    crossing-free one, which never exceeds the bound."""
-    monkeypatch.setattr(search, "_half_turn", lambda coloring: (
-        plane_matching(coloring).sorted_edges, 0))
+    """Make the witness settle nothing: it becomes the crossing-free
+    matching, which never exceeds the bound."""
+    monkeypatch.setattr(search, "lemma3_witness", lambda coloring: (
+        plane_matching(coloring), 0))
 
 
 def test_sweep_without_witnesses_is_unchanged(monkeypatch):
-    # with neither the screen nor the witness settling anything, every
-    # orbit is searched; the survivor generator does not read either
-    def settles_nothing(coloring):
-        return plane_matching(coloring), 0
-
+    # with no witness settling anything, every orbit is searched; the
+    # survivor generator does not read the witness
     screened = sweep(6)
     screen_off(monkeypatch)
-    monkeypatch.setattr(search, "lemma3_witness", settles_nothing)
     settled = {}
     value, minimizers = oracle.reference_sweep(6, None, settled)
     assert (value, [str(c) for c in minimizers]) == screened[:2]
@@ -299,15 +295,15 @@ def test_sweep_with_screen_equals_sweep_without(monkeypatch):
 
 
 def test_screen_survivors_are_the_screened_orbits():
-    # the walk generator against the screen as _sweep_job runs it: the
-    # validating count of each orbit's half-turn join, at most the bound
+    # the walk generator against the closed-form screen: the validating
+    # count of each orbit's half-turn join, at most the bound
     for n in range(1, 13):
         bound = balanced_fourblock_bound(n).value
         reps = enumerate_colorings(n)
         screened = [
             c.colors for c in reps
             if crossing_number(
-                c, Matching.from_pairs(construct._half_turn(c)[0])) <= bound
+                c, Matching.from_pairs(oracle._half_turn(c)[0])) <= bound
         ]
         assert search._screen_survivors(n, bound) == screened, n
         assert search._orbit_count(n) == len(reps), n
@@ -325,6 +321,24 @@ def test_sweep_does_not_enumerate_orbits(monkeypatch):
     monkeypatch.setattr(search, "enumerate_colorings", refused)
     assert sweep(8) == (20, ["BBBBBRRRRBBBRRRR", "BBBBRRRRBBBBRRRR"],
                         {"witness": 255, "search": 2})
+
+
+def test_sweep_job_counts_one_join(monkeypatch):
+    # each survivor's witness is its only validated count: the job builds
+    # and recounts no join of its own
+    calls = []
+    for module in (construct, search):
+        if hasattr(module, "crossing_number"):
+            count = module.crossing_number
+            monkeypatch.setattr(module, "crossing_number", lambda c, m, f=count:
+                                calls.append(c.colors) or f(c, m))
+    bound = balanced_fourblock_bound(8).value
+    survivors = search._screen_survivors(8, bound)
+    assert len(survivors) == 2
+    for colors in survivors:
+        calls.clear()
+        assert _sweep_job((colors, bound, None)) == ("search", bound)
+        assert calls == [colors]
 
 
 def test_sweep_mismatch_when_a_survivor_beats_the_bound(monkeypatch):
@@ -401,8 +415,8 @@ def test_sweep_jobs_clamped_to_cpu_count(monkeypatch):
 def test_size_limits():
     with pytest.raises(SizeLimitExceeded):
         spectrum(Coloring("RB" * 11))
-    with pytest.raises(SizeLimitExceeded):
-        minmax_sweep(9)
+    with pytest.raises(SizeLimitExceeded, match="search limit 10"):
+        minmax_sweep(11)
     # explicit budget lifts the gate; the node cap then fires instead,
     # which proves the size check ran first and was satisfied
     with pytest.raises(BudgetExceeded):
@@ -469,13 +483,13 @@ def test_search_budget_rejects_bad_fields():
 
 
 def test_size_limit_env_rejects_bad_values(monkeypatch):
-    for name, run in (("CONVEXMATCH_MAX_N", lambda: spectrum(Coloring("RB"))),
-                      ("CONVEXMATCH_SWEEP_MAX_N", lambda: minmax_sweep(2))):
+    # the sweep reads the search gate's variable
+    for run in (lambda: spectrum(Coloring("RB")), lambda: minmax_sweep(2)):
         for text in ("abc", "0", "-2", "1.5"):
-            monkeypatch.setenv(name, text)
-            with pytest.raises(OutOfRange):
+            monkeypatch.setenv("CONVEXMATCH_MAX_N", text)
+            with pytest.raises(OutOfRange, match="CONVEXMATCH_MAX_N"):
                 run()
-        monkeypatch.delenv(name)
+        monkeypatch.delenv("CONVEXMATCH_MAX_N")
 
 
 def first_by_count(rep):
