@@ -7,15 +7,17 @@ in clockwise order.  That fixed order makes every reported witness
 deterministic: it is the first matching with its count in lexicographic
 order.  ``spectrum``, ``max_crossing``, ``find_with_k`` and the sweep
 all run one kernel, ``_dfs``, and differ only in what they want.  The
-kernel carries a bitmask of the crossing counts still wanted (every
-count not yet found, every count above the incumbent maximum, or just
-k) and each search's leaf callback shrinks it.  A leaf hands the
+kernel carries a bitmask of the crossing counts still wanted and each
+search's leaf callback shrinks it: ``_first_hits`` wants every count not
+yet found, ``max_crossing`` every count above its incumbent, and
+``_first_hit`` a fixed set (k for ``find_with_k``, every count above
+the bound for the sweep) until its first leaf.  A leaf hands the
 callback its count and its edge mask, bit i * n + j set when red i
-takes blue j, from which ``_Tables.matching`` decodes the witness; a
-search that keeps an incumbent keeps that int.  Crossing counts are
-maintained incrementally through a precomputed crossing-mask table (one
-n^2-bit int per candidate edge, bit i * n + j for each edge it crosses),
-and a subtree is cut when no wanted count fits its completion interval.
+takes blue j, from which ``_Tables.matching`` decodes the witness.
+Crossing counts are maintained incrementally through a precomputed
+crossing-mask table (one n^2-bit int per candidate edge, bit i * n + j
+for each edge it crosses), and a subtree is cut when no wanted count
+fits its completion interval.
 That interval is sharp per edge: a partial assignment with c crossings
 so far and r reds left adds between 0 and C(r,2) crossings among the r
 edges still to come, and each chosen edge, with aR remaining reds and
@@ -54,11 +56,12 @@ sequences depth first, cutting every prefix whose walk cannot reach
 the deviation the bound asks for, and builds the canonical colorings
 of the walks that do: at n = 8 two of the 257 orbits, at n = 12 two of
 28,968.  The others are counted by ``_orbit_count``, Burnside's lemma
-in closed form.  Each survivor runs one job: its witness must not
-exceed the bound, and the search is capped at the bound and at
-``max_nodes`` nodes.  The job is mapped in-process or over a pool of at
-most ``os.cpu_count()`` workers, and no more workers than survivors;
-there is no second path.
+in closed form.  Each survivor runs one job: its witness must count
+exactly the bound, so its maximum is the bound unless a matching counts
+more, and the search looks for one in at most ``max_nodes`` nodes.
+The job is mapped in-process or over a pool of at most
+``os.cpu_count()`` workers, and no more workers than survivors; there
+is no second path.
 
 A default size limit keeps accidental combinatorial explosions out of
 interactive use; raise it through ``SearchBudget`` or the environment
@@ -386,68 +389,62 @@ def spectrum(coloring: Coloring, budget: SearchBudget | None = None) -> Spectrum
     return decoded(found, True)
 
 
-def _max_search(
-    tables: _Tables, cap: int | None, max_nodes: int | None
-) -> tuple[int, int] | None:
-    """Exact maximum via branch and bound, or None once it exceeds ``cap``.
-
-    Only counts above the incumbent are wanted, so subtrees that cannot
-    beat it are cut; with a cap, the search stops as soon as any
-    matching surpasses it, which is all a min-over-orbits caller needs
-    to discard the orbit.  The maximum comes with its witness's edge
-    mask.
-    """
-    every = (1 << comb(tables.n, 2) + 1) - 1
-    best = best_chosen = -1
-
-    def hit(count: int, chosen: int) -> int:
-        nonlocal best, best_chosen
-        best, best_chosen = count, chosen
-        if cap is not None and count > cap:
-            return 0
-        return every >> (count + 1) << (count + 1)
-
-    _dfs(tables, every, max_nodes, hit)
-    if cap is not None and best > cap:
-        return None
-    return best, best_chosen
-
-
 def max_crossing(
     coloring: Coloring, budget: SearchBudget | None = None
 ) -> tuple[int, Matching]:
-    """Exhaustive maximum crossing number and its first witness."""
+    """Exhaustive maximum crossing number and its first witness.
+
+    Branch and bound: only counts above the incumbent are wanted, so
+    subtrees that cannot beat it are cut.
+    """
     budget = budget or SearchBudget()
     _check_size(coloring.n, budget)
     tables = _Tables(coloring)
-    value, chosen = _max_search(tables, None, budget.max_nodes)
-    return value, tables.matching(chosen)
+    every = (1 << comb(tables.n, 2) + 1) - 1
+    best = (-1, 0)
+
+    def hit(count: int, chosen: int) -> int:
+        nonlocal best
+        best = count, chosen
+        return every >> (count + 1) << (count + 1)
+
+    _dfs(tables, every, budget.max_nodes, hit)
+    return best[0], tables.matching(best[1])
+
+
+def _first_hit(
+    tables: _Tables, wanted: int, max_nodes: int | None
+) -> int | None:
+    """The edge mask of the first leaf whose count is wanted, or None.
+
+    None is a verified answer: the pruned search is exhaustive, so it
+    proves no matching has a wanted count.
+    """
+    found = None
+
+    def hit(count: int, chosen: int) -> int:
+        nonlocal found
+        found = chosen
+        return 0
+
+    _dfs(tables, wanted, max_nodes, hit)
+    return found
 
 
 def find_with_k(
     coloring: Coloring, k: int, budget: SearchBudget | None = None
 ) -> Matching | None:
-    """First matching with exactly k crossings, or None if none exists.
-
-    None is a verified answer: the pruned search is exhaustive, so it
-    proves no matching of the coloring has exactly k crossings.
-    """
+    """First matching with exactly k crossings, or None if none exists
+    (a verified answer, as ``_first_hit``'s)."""
     budget = budget or SearchBudget()
     _check_size(coloring.n, budget)
     if k < 0:
         return None
     tables = _Tables(coloring)
-    found: Matching | None = None
-
-    def hit(count: int, chosen: int) -> int:
-        nonlocal found
-        found = tables.matching(chosen)
-        return 0
-
     # a k above C(n,2) is wanted by nobody; the root alone is visited
     wanted = 1 << k if k <= comb(tables.n, 2) else 0
-    _dfs(tables, wanted, budget.max_nodes, hit)
-    return found
+    chosen = _first_hit(tables, wanted, budget.max_nodes)
+    return None if chosen is None else tables.matching(chosen)
 
 
 def _necklaces(n: int):
@@ -663,26 +660,35 @@ def _screen_survivors(n: int, bound: int) -> list[str]:
     return found
 
 
-def _sweep_job(args: tuple[str, int, int | None]) -> tuple[str, int | None]:
-    """How one orbit was settled, and its maximum if at most ``bound``.
+def _sweep_job(args: tuple[str, int, int | None]) -> str:
+    """How one survivor was settled: ``"tight"`` when its maximum is the
+    bound, ``"beaten"`` when a matching counts more, ``"budget"`` when
+    the search ran out of nodes.
 
-    One ``lemma3_witness``, counted by the validating ``crossing_number``,
-    settles the orbit as ``("witness", None)`` when it exceeds the
-    bound; below the bound it raises its alarm, uncaught here.  The
-    capped search then gives ``("search", value)``, with None for a
-    maximum above the bound, or ``("budget", None)`` once it runs out
-    of nodes.  The sweep runs it only on ``_screen_survivors``, where a
-    ``"witness"`` means the closed-form screen count was wrong.
+    Its ``lemma3_witness``, counted by the validating
+    ``crossing_number``, proves the maximum is at least its count and
+    raises its alarm below the bound.  On a ``_screen_survivors`` orbit
+    it counts exactly the bound; any other count means the closed-form
+    screen is wrong and raises ``SweepMismatch``.  So the search only
+    has to show that no matching counts more: ``_first_hit`` wants
+    every count above the bound and stops at the first.
     """
     colors, bound, max_nodes = args
     coloring = Coloring(colors)
-    if lemma3_witness(coloring)[1] > bound:
-        return "witness", None
+    count = lemma3_witness(coloring)[1]
+    if count != bound:
+        raise SweepMismatch(
+            f"orbit {colors} left by the screen has a half-turn join that "
+            f"counts {count}, not the closed-form value {bound}"
+        )
+    tables = _Tables(coloring)
+    every = (1 << comb(tables.n, 2) + 1) - 1
+    above = every >> (bound + 1) << (bound + 1)
     try:
-        result = _max_search(_Tables(coloring), bound, max_nodes)
+        beaten = _first_hit(tables, above, max_nodes) is not None
     except BudgetExceeded:
-        return "budget", None
-    return "search", None if result is None else result[0]
+        return "budget"
+    return "beaten" if beaten else "tight"
 
 
 def minmax_sweep(
@@ -694,22 +700,22 @@ def minmax_sweep(
 
     Returns the value and every canonical coloring attaining it, and
     cross-checks the value against ``balanced_fourblock_bound``; any
-    disagreement raises a falsification alarm.  Only an orbit whose
-    maximum is at most the bound can attain the minimum, and an orbit
-    whose Lemma-3 witness counts above the bound cannot, so only the
+    disagreement raises a falsification alarm.  Every orbit's maximum is
+    at least its Lemma-3 witness's count, which is at least the bound,
+    so the minimizers are the orbits whose maximum is exactly the bound,
+    and an orbit whose witness counts above it is not one.  Only the
     orbits that witness leaves are built: ``_screen_survivors``
     generates them from their core-surplus walks, and the others are
     counted, not enumerated, as ``_orbit_count`` less the survivors.
-    Each survivor runs ``_sweep_job``: its ``lemma3_witness`` must not
-    exceed the bound, or the closed form behind the screen is wrong and
-    ``SweepMismatch`` is raised, and raises ``WitnessBelowBound`` below
-    it; the exact branch and bound is aborted once a matching beats the
-    bound.  ``budget.max_nodes`` caps each searched orbit; running out
-    raises ``BudgetExceeded``.  ``budget.jobs`` above 1, clamped to the
-    CPU count and the survivor count, maps the same job over a process
-    pool, so results do not depend on the worker count.  A ``settled``
-    dict receives how many orbits the witness screen and the search
-    settled.
+    Each survivor runs ``_sweep_job``, which checks that its witness
+    counts exactly the bound and searches for a matching that counts
+    more; the survivors with none are the minimizers, and no minimizer
+    at all raises ``SweepMismatch``.  ``budget.max_nodes`` caps each
+    searched orbit; running out raises ``BudgetExceeded``.
+    ``budget.jobs`` above 1, clamped to the CPU count and the survivor
+    count, maps the same job over a process pool, so results do not
+    depend on the worker count.  A ``settled`` dict receives how many
+    orbits the witness screen and the search settled.
     """
     budget = budget or SearchBudget()
     _check_size(n, budget)
@@ -720,36 +726,22 @@ def minmax_sweep(
     if jobs > 1:
         from multiprocessing import Pool
 
-        chunk = max(1, len(survivors) // (4 * jobs))
         with Pool(jobs) as pool:
-            results = pool.map(_sweep_job, args, chunk)
+            hows = pool.map(_sweep_job, args)
     else:
-        results = list(map(_sweep_job, args))
+        hows = list(map(_sweep_job, args))
 
-    hows = [how for how, _ in results]
-    if "witness" in hows:
-        raise SweepMismatch(
-            f"orbit {survivors[hows.index('witness')]} left by the screen "
-            f"has a half-turn join above the closed-form value {bound}"
-        )
     if "budget" in hows:
         raise BudgetExceeded(
             f"node budget exhausted on orbit {survivors[hows.index('budget')]}"
         )
-    exact = [(Coloring(c), v) for c, (_, v) in zip(survivors, results)
-             if v is not None]
-    if not exact:
+    minimizers = [Coloring(c) for c, how in zip(survivors, hows)
+                  if how == "tight"]
+    if not minimizers:
         raise SweepMismatch(
             f"every orbit at n={n} exceeds the closed-form value {bound}"
-        )
-    low = min(v for _, v in exact)
-    minimizers = [c for c, v in exact if v == low]
-    if low != bound:
-        raise SweepMismatch(
-            f"sweep minimum {low} at n={n} contradicts closed form {bound} "
-            f"(minimizers: {[m.colors for m in minimizers]})"
         )
     if settled is not None:
         settled.update(witness=_orbit_count(n) - len(survivors),
                        search=len(survivors))
-    return low, minimizers
+    return bound, minimizers

@@ -1,20 +1,20 @@
 """Brute-force reference implementations used to cross-check the package.
 
 Nothing here imports the package under test, apart from the exceptions
-``reference_dfs``, ``reference_windows`` and ``reference_sweep`` raise,
-the ``Coloring`` that ``reference_colorings`` builds, the ``_images``
-scan that ``is_canonical`` reads, the arc joins, constructions,
-counters and alarm that ``reference_lemma3_witness`` and ``_half_turn``
-build, score and raise, and the orbit enumeration, size gate and
-per-orbit job that ``reference_sweep`` maps.  Matchings are
-enumerated through permutations, crossings through pairwise
-interleaving, and symmetry through string rotation, so any agreement
-with the library is evidence rather than tautology.  Sizes must stay small: all_matchings is n! and
-colorings(n) is C(2n, n).  ``reference_dfs`` is the slow path of the search kernel:
-it walks every chosen chord at every node and visits the last level
-node by node, and the kernel must make the same calls and spend the
-same nodes.  ``reference_colorings`` is the slow path of the orbit
-enumeration, and ``burnside_orbits`` counts the orbits independently.
+``reference_dfs`` and ``reference_windows`` raise, the ``Coloring``
+that ``reference_colorings`` builds, the ``_images`` scan that
+``is_canonical`` reads, the arc joins, constructions, counters and
+alarm that ``reference_lemma3_witness`` and ``_half_turn`` build, score
+and raise, and the orbit enumeration that ``reference_sweep`` walks.
+Matchings are enumerated through permutations, crossings through
+pairwise interleaving, and symmetry through string rotation, so any
+agreement with the library is evidence rather than tautology.  Sizes
+must stay small: all_matchings is n! and colorings(n) is C(2n, n).
+``reference_dfs`` is the slow path of the search kernel: it walks every
+chosen chord at every node and visits the last level node by node, and
+the kernel must make the same calls and spend the same nodes.
+``reference_colorings`` is the slow path of the orbit enumeration, and
+``burnside_orbits`` counts the orbits independently.
 ``reference_windows`` is the window scan that restarts at 0 after every
 cut, and ``reference_tables`` the candidate-edge tables built by
 bisection; the library's sliding scan and rank-indexed tables must give
@@ -28,13 +28,15 @@ pair (c1, c2) does not depend on c2, and (c1, c1) comes before every
 ``_half_turn`` is that join picked in closed form from the medians of
 the core-surplus walk ``_core_surplus``, with its count; the sweep's
 survivor generator rests on the same count.
-``reference_sweep`` is the min-max sweep that ran ``_sweep_job`` on
-every orbit of ``enumerate_colorings``; the library builds only the
-orbits the half-turn screen leaves and must give the same value,
-minimizers and settled counts.
+``reference_sweep`` is the min-max sweep with no witness: the capped
+maximum search ``reference_max_search`` (the library's before its
+sweep started from the witness), run through ``reference_dfs`` and
+``reference_tables`` on every orbit of ``enumerate_colorings``.  The
+library builds only the orbits the half-turn screen leaves and
+searches each for a count above the bound; it must give the same value
+and minimizers.
 """
 
-import os
 from bisect import bisect_left, bisect_right
 from itertools import combinations, permutations
 from math import comb
@@ -62,16 +64,10 @@ from convexmatch.core import (
 from convexmatch.errors import (
     BudgetExceeded,
     NoBalancedWindow,
-    SweepMismatch,
     TooSmall,
     WitnessBelowBound,
 )
-from convexmatch.search import (
-    SearchBudget,
-    _check_size,
-    _sweep_job,
-    enumerate_colorings,
-)
+from convexmatch.search import enumerate_colorings
 
 WINDOW_POINTS = 14
 
@@ -459,45 +455,42 @@ def reference_lemma3_witness(coloring):
     return matching, count
 
 
-def reference_sweep(n, budget=None, settled=None):
-    """``search.minmax_sweep`` before the screen survivors were
-    generated from the core-surplus walk, verbatim: ``_sweep_job`` on
-    every orbit of ``enumerate_colorings``, and the settled counts from
-    the jobs."""
-    budget = budget or SearchBudget()
-    _check_size(n, budget)
+def reference_max_search(tables, cap, max_nodes):
+    """``search._max_search`` before the sweep started from the witness,
+    verbatim apart from running ``reference_dfs``: the exact maximum via
+    branch and bound, with its witness's edge mask, or None once it
+    exceeds ``cap``.
+
+    Only counts above the incumbent are wanted, so subtrees that cannot
+    beat it are cut; with a cap, the search stops as soon as any
+    matching surpasses it.
+    """
+    every = (1 << comb(tables.n, 2) + 1) - 1
+    best = best_chosen = -1
+
+    def hit(count: int, chosen: int) -> int:
+        nonlocal best, best_chosen
+        best, best_chosen = count, chosen
+        if cap is not None and count > cap:
+            return 0
+        return every >> (count + 1) << (count + 1)
+
+    reference_dfs(tables, every, max_nodes, hit)
+    if cap is not None and best > cap:
+        return None
+    return best, best_chosen
+
+
+def reference_sweep(n):
+    """The min-max sweep with no witness: ``reference_max_search``,
+    capped at the bound, on every orbit of ``enumerate_colorings``.
+    Returns the least maximum at most the bound and the orbits that
+    attain it."""
     bound = balanced_fourblock_bound(n).value
-    reps = enumerate_colorings(n)
-    jobs = min(budget.jobs, os.cpu_count() or 1)
-    args = [(c.colors, bound, budget.max_nodes) for c in reps]
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        chunk = max(1, len(reps) // (4 * jobs))
-        with Pool(jobs) as pool:
-            results = pool.map(_sweep_job, args, chunk)
-    else:
-        results = list(map(_sweep_job, args))
-
-    hows = [how for how, _ in results]
-    if "budget" in hows:
-        raise BudgetExceeded(
-            f"node budget exhausted on orbit {reps[hows.index('budget')]}"
-        )
-    exact = [(c, v) for c, (_, v) in zip(reps, results) if v is not None]
-    if not exact:
-        raise SweepMismatch(
-            f"every orbit at n={n} exceeds the closed-form value {bound}"
-        )
+    exact = []
+    for coloring in enumerate_colorings(n):
+        result = reference_max_search(reference_tables(coloring), bound, None)
+        if result is not None:
+            exact.append((coloring, result[0]))
     low = min(v for _, v in exact)
-    minimizers = [c for c, v in exact if v == low]
-    if low != bound:
-        raise SweepMismatch(
-            f"sweep minimum {low} at n={n} contradicts closed form {bound} "
-            f"(minimizers: {[m.colors for m in minimizers]})"
-        )
-    if settled is not None:
-        settled.update(
-            (how, hows.count(how)) for how in ("witness", "search")
-        )
-    return low, minimizers
+    return low, [c for c, v in exact if v == low]

@@ -15,7 +15,7 @@ GONE = {
                               "_lemma3_candidates", "_sixblock_frame",
                               "_balanced_cut_partitions", "_cut_pair_join",
                               "_half_turn", "_core_surplus"),
-    "convexmatch.search": ("DEFAULT_SWEEP_LIMIT", "_LIMITS"),
+    "convexmatch.search": ("DEFAULT_SWEEP_LIMIT", "_LIMITS", "_max_search"),
     "convexmatch.errors": ("EmptyAntipodalCore", "NoBalancedCuts"),
 }
 GONE_MEMBERS = (

@@ -34,7 +34,6 @@ from convexmatch.errors import (
 from convexmatch.search import (
     _dfs,
     _first_hits,
-    _max_search,
     _sweep_job,
     _Tables,
 )
@@ -248,50 +247,49 @@ def test_sweep_frozen_with_settled_counts():
 
 
 def test_sweep_job_equals_capped_search():
-    # the witness screen only drops orbits the capped search drops too
+    # an orbit the job settles as tight has the bound as its maximum; one
+    # it settles otherwise has a larger one, or its witness is not a
+    # survivor's
     for n in range(1, 8):
         bound = balanced_fourblock_bound(n).value
         for rep in enumerate_colorings(n):
-            how, value = _sweep_job((rep.colors, bound, None))
-            capped = _max_search(_Tables(rep), bound, None)
-            assert value == (None if capped is None else capped[0]), rep
-            assert how in ("witness", "search")
+            capped = oracle.reference_max_search(
+                oracle.reference_tables(rep), bound, None)
+            try:
+                how = _sweep_job((rep.colors, bound, None))
+            except SweepMismatch:
+                how = "witness"
+            assert how in ("witness", "beaten", "tight"), rep
+            assert (how == "tight") == (capped is not None), rep
+            assert capped is None or capped[0] == bound, rep
 
 
-def screen_off(monkeypatch):
-    """Make the witness settle nothing: it becomes the crossing-free
-    matching, which never exceeds the bound."""
+def test_sweep_alarms_without_witnesses(monkeypatch):
+    # a survivor's witness must count the bound: the crossing-free
+    # matching instead is an alarm, whatever the worker count, and the
+    # survivor generator does not read the witness
+    bound = balanced_fourblock_bound(6).value
+    survivors = search._screen_survivors(6, bound)
     monkeypatch.setattr(search, "lemma3_witness", lambda coloring: (
         plane_matching(coloring), 0))
+    for jobs in (1, 2):
+        with pytest.raises(SweepMismatch, match="counts 0, not the "
+                           f"closed-form value {bound}"):
+            minmax_sweep(6, SearchBudget(jobs=jobs))
+    assert search._screen_survivors(6, bound) == survivors
 
 
-def test_sweep_without_witnesses_is_unchanged(monkeypatch):
-    # with no witness settling anything, every orbit is searched; the
-    # survivor generator does not read the witness
-    screened = sweep(6)
-    screen_off(monkeypatch)
-    settled = {}
-    value, minimizers = oracle.reference_sweep(6, None, settled)
-    assert (value, [str(c) for c in minimizers]) == screened[:2]
-    assert settled == {"witness": 0, "search": len(enumerate_colorings(6))}
-    assert sweep(6) == screened
-
-
-def test_sweep_with_screen_equals_sweep_without(monkeypatch):
-    # the sweep builds only the screen's survivors; an unscreened capped
-    # search of every orbit finds the same value and minimizers, and the
-    # sweep's two counts add up to the orbit count
-    budget = SearchBudget(max_n=10)
-    screened = {n: sweep(n, budget) for n in range(2, 11)}
-    screen_off(monkeypatch)
-    for n, (value, minimizers, counts) in screened.items():
-        orbits = len(enumerate_colorings(n))
-        settled = {}
-        expected = oracle.reference_sweep(n, budget, settled)
+def test_sweep_with_screen_equals_sweep_without():
+    # the sweep builds only the screen's survivors; a capped search of
+    # every orbit, with no witness, finds the same value and minimizers,
+    # and the sweep's two counts add up to the orbit count
+    for n in range(2, 11):
+        value, minimizers, counts = sweep(n, SearchBudget(max_n=10))
+        expected = oracle.reference_sweep(n)
         assert (value, minimizers) == \
             (expected[0], [str(c) for c in expected[1]]), n
-        assert settled == {"witness": 0, "search": orbits}, n
-        assert counts["witness"] + counts["search"] == orbits, n
+        assert counts["witness"] + counts["search"] == \
+            len(enumerate_colorings(n)), n
 
 
 def test_screen_survivors_are_the_screened_orbits():
@@ -337,7 +335,7 @@ def test_sweep_job_counts_one_join(monkeypatch):
     assert len(survivors) == 2
     for colors in survivors:
         calls.clear()
-        assert _sweep_job((colors, bound, None)) == ("search", bound)
+        assert _sweep_job((colors, bound, None)) == "tight"
         assert calls == [colors]
 
 
@@ -349,6 +347,18 @@ def test_sweep_mismatch_when_a_survivor_beats_the_bound(monkeypatch):
         generate(n, bound) + ["BR" * n]))
     with pytest.raises(SweepMismatch, match="BRBRBRBRBRBRBRBR"):
         minmax_sweep(8)
+
+
+def test_sweep_drops_a_survivor_the_search_beats(monkeypatch):
+    # an orbit whose witness counts the bound but whose maximum is larger
+    # is not a minimizer: the alternating orbit let through the screen
+    # with a witness faked to the bound
+    generate = search._screen_survivors
+    monkeypatch.setattr(search, "_screen_survivors", lambda n, bound: sorted(
+        generate(n, bound) + ["BR" * n]))
+    monkeypatch.setattr(search, "lemma3_witness", lambda coloring: (
+        None, balanced_fourblock_bound(coloring.n).value))
+    assert sweep(8)[:2] == (20, ["BBBBBRRRRBBBRRRR", "BBBBRRRRBBBBRRRR"])
 
 
 def test_witness_below_bound_stops_the_sweep(monkeypatch, capsys):
@@ -380,6 +390,30 @@ def test_minmax_sweep_honours_max_nodes():
         value, minimizers = minmax_sweep(
             6, SearchBudget(max_nodes=10**6, jobs=jobs))
         assert (value, [str(c) for c in minimizers]) == (10, ["BBBRRRBBBRRR"])
+
+
+def test_sweep_node_budget_boundary():
+    # each survivor spends the nodes the reference kernel spends wanting
+    # every count above the bound (229,386 at n = 14 when the search
+    # climbed from -1); the sweep completes on the most of them and runs
+    # out one node below, whatever the worker count
+    for n, nodes in ((7, 64), (8, 245), (14, 111_361)):
+        bound = balanced_fourblock_bound(n).value
+        every = (1 << comb(n, 2) + 1) - 1
+        above = every >> (bound + 1) << (bound + 1)
+        spent = []
+        for colors in search._screen_survivors(n, bound):
+            tables = oracle.reference_tables(Coloring(colors))
+            used = oracle.reference_dfs(tables, above, None, lambda c, m: 0)
+            assert _sweep_job((colors, bound, used)) == "tight"
+            assert _sweep_job((colors, bound, used - 1)) == "budget"
+            spent.append(used)
+        assert max(spent) == nodes, n
+    for n, nodes in ((7, 64), (8, 245)):
+        for jobs in (1, 2):
+            minmax_sweep(n, SearchBudget(max_nodes=nodes, jobs=jobs))
+            with pytest.raises(BudgetExceeded):
+                minmax_sweep(n, SearchBudget(max_nodes=nodes - 1, jobs=jobs))
 
 
 def test_sweep_jobs_clamped_to_cpu_count(monkeypatch):
@@ -574,15 +608,17 @@ def test_max_crossing_nodes_on_fourblock_minimizers():
 
 
 def wanted_rules(n, k):
-    """The three ways a search wants counts, as (wanted, rule) pairs:
+    """The four ways a search wants counts, as (wanted, rule) pairs:
     ``rule(wanted, count)`` is the mask ``hit`` returns after a hit.
-    Every count (spectrum), counts above the incumbent (the maximum) and
-    the single count k (find)."""
+    Every count (spectrum), counts above the incumbent (the maximum),
+    the single count k (find) and every count above the floor k, up to
+    the first hit (the sweep)."""
     every = (1 << comb(n, 2) + 1) - 1
     return (
         (every, lambda wanted, count: wanted & ~(1 << count)),
         (every, lambda wanted, count: every >> (count + 1) << (count + 1)),
         (1 << k, lambda wanted, count: 0),
+        (every >> (k + 1) << (k + 1), lambda wanted, count: 0),
     )
 
 
