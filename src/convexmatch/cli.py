@@ -4,7 +4,10 @@ Exit codes separate the four kinds of outcome: 0 for success, 1 for
 honest negative answers (no matching with that count, budget exhausted),
 2 for usage errors, and 3 for falsification alarms, i.e. conditions that
 are supposed to be impossible.  Reports are deterministic apart from the
-timing field; JSON output is the machine-readable form.
+timing field; JSON output is the machine-readable form.  JSON reports
+and the atlas sidecar are the text of ``json.dumps(value, indent=2,
+sort_keys=True)``, assembled by ``_indented_json`` from C-coded pieces,
+since an ``indent`` makes ``json`` use its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import os
 import re
 import sys
 import time
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from math import comb, cos, pi, sin
 
 from . import __version__
@@ -264,11 +269,18 @@ def _read_journal(path: str, n: int) -> dict[str, dict]:
 
 
 def _replace(path: str, text: str):
-    """Write the file through a temporary sibling, so it appears whole."""
+    """Write the file through a temporary sibling, so it appears whole.
+
+    A write or rename that fails removes the sibling and re-raises."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    handle = open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def atlas(n: int, out_path: str, budget: SearchBudget | None = None) -> dict:
@@ -329,7 +341,7 @@ def atlas(n: int, out_path: str, budget: SearchBudget | None = None) -> dict:
         "csv": out_path,
     }
     sidecar = out_path + ".json"
-    _replace(sidecar, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _replace(sidecar, _indented_json(summary) + "\n")
     os.remove(journal_path)
     summary["sidecar"] = sidecar
     return summary
@@ -517,9 +529,57 @@ def _flatten(value) -> str:
     return str(value)
 
 
+def _indented_json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, with every line
+    after the first led by ``pad`` (a newline and the current indent).
+
+    Dicts, lists and tuples are laid out here, and a list of ints, or of
+    non-empty lists of ints, is laid out from its ``repr`` in one go.
+    Any other value has no inner layout, so ``json``'s C encoder gives
+    its text, or raises ``json``'s error.  A container that holds itself
+    recurses without end, where ``json`` reports the cycle.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return repr(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            (encode_basestring_ascii(key) if isinstance(key, str)
+             else json.dumps({key: 0})[1:-4])  # json's text for the key
+            + ": " + _indented_json(item, inner)
+            for key, item in sorted(value.items())
+        ) + pad + "}"
+    if not isinstance(value, (list, tuple)):
+        return json.dumps(value)
+    if not value:
+        return "[]"
+    kinds = set(map(type, value))
+    if kinds == {int}:
+        body = ("," + inner).join(map(repr, value))
+    elif (kinds == {list} and all(value)
+          and set(map(type, chain.from_iterable(value))) == {int}):
+        deeper = inner + "  "
+        body = (
+            repr(list(value))[1:-1]
+            .replace(", ", "," + deeper)
+            .replace("]," + deeper + "[", "]," + inner + "[")
+            .replace("[", "[" + deeper)
+            .replace("]", inner + "]")
+        )
+    else:
+        body = ("," + inner).join(
+            _indented_json(item, inner) for item in value
+        )
+    return "[" + inner + body + pad + "]"
+
+
 def _format_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return _indented_json(report) + "\n"
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer)

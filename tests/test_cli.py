@@ -1,6 +1,11 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +226,23 @@ def test_out_to_missing_directory_is_io_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["bound", "--n", "8", "--format", "json"]
+    src = str(Path(convexmatch.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "convexmatch", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert main(argv) == 0
+
+    def untimed(text):
+        return re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', text)
+
+    assert untimed(done.stdout) == untimed(capsys.readouterr().out)
+
+
 # ------------------------------------------------------------- subcommands
 
 
@@ -397,6 +419,16 @@ def test_atlas_rejects_oversized_n_before_writing(tmp_path, monkeypatch,
     assert main(["atlas", "--n", "4", "--out", str(tmp_path / "a.csv")]) == 2
     assert "exceeds search limit 3" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_atlas_failed_replace_leaves_no_temporary_file(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert main(["atlas", "--n", "3", "--out", str(out)]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    # the journal stays, so the run can resume once --out is free
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "taken", "taken.journal"]
 
 
 def test_search_gate_precedes_run_length_expansion(capsys):
