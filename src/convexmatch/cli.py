@@ -293,11 +293,16 @@ def atlas(n: int, out_path: str, budget: SearchBudget | None = None) -> dict:
     journaled per canonical coloring next to the output file, so an
     interrupted run resumes where it stopped, even after a torn last
     write; the journal is removed once the CSV and sidecar have been
-    written atomically.  An n above the search limit is rejected before
-    any file is touched.
+    written atomically.  An n above the search limit, and a CSV or
+    sidecar path that is an existing directory, are rejected before any
+    file is touched.
     """
     budget = budget or SearchBudget()
     _check_size(n, budget)
+    sidecar = out_path + ".json"
+    for path in (out_path, sidecar):
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"Is a directory: {path!r}")
     journal_path = out_path + ".journal"
     done = (_read_journal(journal_path, n)
             if os.path.exists(journal_path) else {})
@@ -340,7 +345,6 @@ def atlas(n: int, out_path: str, budget: SearchBudget | None = None) -> dict:
         ],
         "csv": out_path,
     }
-    sidecar = out_path + ".json"
     _replace(sidecar, _indented_json(summary) + "\n")
     os.remove(journal_path)
     summary["sidecar"] = sidecar

@@ -11,9 +11,10 @@ kernel carries a bitmask of the crossing counts still wanted and each
 search's leaf callback shrinks it: ``_first_hits`` wants every count not
 yet found, ``max_crossing`` every count above its incumbent, and
 ``_first_hit`` a fixed set (k for ``find_with_k``, every count above
-the bound for the sweep) until its first leaf.  A leaf hands the
-callback its count and its edge mask, bit i * n + j set when red i
-takes blue j, from which ``_Tables.matching`` decodes the witness.
+the bound for the sweep) until its first leaf; the counts above k are
+``_above(n, k)``.  A leaf hands the callback its count and its edge
+mask, bit i * n + j set when red i takes blue j, from which
+``_Tables.matching`` decodes the witness.
 Crossing counts are maintained incrementally through a precomputed
 crossing-mask table (one n^2-bit int per candidate edge, bit i * n + j
 for each edge it crosses), and a subtree is cut when no wanted count
@@ -338,6 +339,12 @@ def _dfs(
     dive(0, (1 << n) - 1, 0, 0, wanted, [])
 
 
+def _above(n: int, k: int) -> int:
+    """The wanted mask of every count above k: bits k + 1 .. C(n,2),
+    0 for k = C(n,2)."""
+    return (1 << comb(n, 2) + 1) - (1 << k + 1)
+
+
 def _first_hits(tables: _Tables, max_nodes: int | None) -> dict[int, int]:
     """Every achievable count, with the edge mask of its first leaf.
 
@@ -347,7 +354,7 @@ def _first_hits(tables: _Tables, max_nodes: int | None) -> dict[int, int]:
     Exhausting the node budget raises with the masks found so far
     attached as ``partial``.
     """
-    unseen = (1 << comb(tables.n, 2) + 1) - 1
+    unseen = _above(tables.n, -1)
     found: dict[int, int] = {}
 
     def hit(count: int, chosen: int) -> int:
@@ -400,15 +407,14 @@ def max_crossing(
     budget = budget or SearchBudget()
     _check_size(coloring.n, budget)
     tables = _Tables(coloring)
-    every = (1 << comb(tables.n, 2) + 1) - 1
     best = (-1, 0)
 
     def hit(count: int, chosen: int) -> int:
         nonlocal best
         best = count, chosen
-        return every >> (count + 1) << (count + 1)
+        return _above(tables.n, count)
 
-    _dfs(tables, every, budget.max_nodes, hit)
+    _dfs(tables, _above(tables.n, -1), budget.max_nodes, hit)
     return best[0], tables.matching(best[1])
 
 
@@ -435,57 +441,48 @@ def find_with_k(
     coloring: Coloring, k: int, budget: SearchBudget | None = None
 ) -> Matching | None:
     """First matching with exactly k crossings, or None if none exists
-    (a verified answer, as ``_first_hit``'s)."""
+    (a verified answer, as ``_first_hit``'s).  A k outside 0..C(n,2)
+    is answered without a search."""
     budget = budget or SearchBudget()
     _check_size(coloring.n, budget)
-    if k < 0:
+    if not 0 <= k <= comb(coloring.n, 2):
         return None
     tables = _Tables(coloring)
-    # a k above C(n,2) is wanted by nobody; the root alone is visited
-    wanted = 1 << k if k <= comb(tables.n, 2) else 0
-    chosen = _first_hit(tables, wanted, budget.max_nodes)
+    chosen = _first_hit(tables, 1 << k, budget.max_nodes)
     return None if chosen is None else tables.matching(chosen)
 
 
-def _necklaces(n: int):
+def _necklaces(n: int) -> list[str]:
     """The necklaces of n blues and n reds, B < R, in lexicographic order.
 
     A necklace is a string that no rotation makes smaller.  This is the
     fixed-content form of the Fredricksen-Kessler-Maiorana rule (Ruskey
-    and Sawada): ``word[1..t]`` is a prenecklace with least period
-    ``period[t]``, position t + 1 takes the colour ``period[t]`` places
-    back or a larger one, the period stays with the same colour and
-    becomes t + 1 with a larger one, and a full word is a necklace when
-    its period divides 2n.  Every word starts with B.  The positions are
-    walked by an explicit loop, not by recursion 2n deep.
+    and Sawada): ``extend(t, p)`` extends a prenecklace ``word[1..t-1]``
+    of least period p by each colour not below ``word[t - p]`` with
+    points left; the period stays p with that same colour and becomes t
+    with a larger one, and a full word is a necklace when p divides 2n.
+    Every word starts with B.
     """
     size = 2 * n
     word = [BLUE] * (size + 1)  # word[0] is unused
-    period = [1] * (size + 1)
     left = {BLUE: n - 1, RED: n}  # colours not yet placed after word[1]
-    t = 2
-    color = BLUE  # the next colour to try at position t
-    while t > 1:
-        if color == BLUE and not left[BLUE]:
-            color = RED
-        if color == RED and not left[RED]:
-            color = None
-        if color is None:  # position t is exhausted: step back
-            t -= 1
-            left[word[t]] += 1
-            color = RED if word[t] == BLUE else None
-            continue
-        word[t] = color
-        back = period[t - 1]
-        period[t] = back if color == word[t - back] else t
-        if t < size:
-            left[color] -= 1
-            t += 1
-            color = word[t - period[t - 1]]
-        else:
-            if size % period[t] == 0:
-                yield "".join(word[1:])
-            color = RED if color == BLUE else None
+    found = []
+
+    def extend(t: int, p: int) -> None:
+        if t > size:
+            if size % p == 0:
+                found.append("".join(word[1:]))
+            return
+        back = word[t - p]
+        for color in (BLUE, RED):
+            if color >= back and left[color]:
+                word[t] = color
+                left[color] -= 1
+                extend(t + 1, p if color == back else t)
+                left[color] += 1
+
+    extend(2, 1)
+    return found
 
 
 def _least_under_flips(colors: str) -> bool:
@@ -517,10 +514,8 @@ def enumerate_colorings(n: int) -> list[Coloring]:
     and colour swap.  ``_necklaces`` lists, in sorted order, exactly the
     strings that no rotation makes smaller, so the rotation images are
     neither generated nor compared: a necklace is kept when no image
-    under reflection, colour swap or both is smaller.  That tests 80
-    strings at n = 6 and 112,720 at n = 12, where a filter over the
-    C(2n-2, n-1) strings that start with B and end with R tests 252 and
-    705,432.  The list length is the orbit count.
+    under reflection, colour swap or both is smaller.  The list length
+    is the orbit count.
     """
     if n < 1:
         raise OutOfRange(f"need n >= 1, got {brief(n)}")
@@ -681,11 +676,9 @@ def _sweep_job(args: tuple[str, int, int | None]) -> str:
             f"orbit {colors} left by the screen has a half-turn join that "
             f"counts {count}, not the closed-form value {bound}"
         )
-    tables = _Tables(coloring)
-    every = (1 << comb(tables.n, 2) + 1) - 1
-    above = every >> (bound + 1) << (bound + 1)
     try:
-        beaten = _first_hit(tables, above, max_nodes) is not None
+        beaten = _first_hit(_Tables(coloring), _above(coloring.n, bound),
+                            max_nodes) is not None
     except BudgetExceeded:
         return "budget"
     return "beaten" if beaten else "tight"

@@ -13,8 +13,9 @@ must stay small: all_matchings is n! and colorings(n) is C(2n, n).
 ``reference_dfs`` is the slow path of the search kernel: it walks every
 chosen chord at every node and visits the last level node by node, and
 the kernel must make the same calls and spend the same nodes.
-``reference_colorings`` is the slow path of the orbit enumeration, and
-``burnside_orbits`` counts the orbits independently.
+``reference_colorings`` is the slow path of the orbit enumeration,
+``reference_necklaces`` filters every string for the necklaces it
+starts from, and ``burnside_orbits`` counts the orbits independently.
 ``reference_windows`` is the window scan that restarts at 0 after every
 cut, and ``reference_tables`` the candidate-edge tables built by
 bisection; the library's sliding scan and rank-indexed tables must give
@@ -138,6 +139,14 @@ def is_canonical(colors: str) -> bool:
         if image < colors:
             return False
     return True
+
+
+def reference_necklaces(n):
+    """Every string of n B and n R that no rotation makes smaller, sorted."""
+    return sorted(
+        colors for colors in colorings(n)
+        if all(colors <= colors[r:] + colors[:r] for r in range(2 * n))
+    )
 
 
 def reference_colorings(n):

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import convexmatch
-from convexmatch import Coloring, Matching
+from convexmatch import Coloring, Matching, cli
 from convexmatch.cli import (
+    _replace,
     atlas,
     format_matching,
     main,
@@ -20,6 +21,15 @@ from convexmatch.cli import (
     render_svg,
 )
 from convexmatch.errors import InvalidMatching, ParseError, brief
+
+
+def package_env() -> dict:
+    """The environment with this checkout's package first on the path."""
+    src = str(Path(convexmatch.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def run_json(capsys, argv):
@@ -228,12 +238,9 @@ def test_out_to_missing_directory_is_io_error(tmp_path, capsys):
 
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["bound", "--n", "8", "--format", "json"]
-    src = str(Path(convexmatch.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-m", "convexmatch", *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=package_env(), capture_output=True, text=True,
+                          timeout=60)
     assert done.returncode == 0, done.stderr
     assert main(argv) == 0
 
@@ -421,14 +428,54 @@ def test_atlas_rejects_oversized_n_before_writing(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_atlas_failed_replace_leaves_no_temporary_file(tmp_path, capsys):
-    out = tmp_path / "taken"
-    out.mkdir()
-    assert main(["atlas", "--n", "3", "--out", str(out)]) == 2
-    assert "Is a directory" in capsys.readouterr().err
-    # the journal stays, so the run can resume once --out is free
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "taken", "taken.journal"]
+def test_atlas_failed_replace_leaves_no_temporary_file(tmp_path, monkeypatch):
+    # the atlas refuses a directory --out before searching, so the failed
+    # rename is forced on its writer directly
+    def refuse(src, dst):
+        raise OSError(f"cannot rename {src}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "atlas.csv"
+    with pytest.raises(OSError, match="cannot rename .*atlas.csv.tmp"):
+        _replace(str(out), "n,coloring\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("taken", ["atlas.csv", "atlas.csv.json"])
+def test_atlas_refuses_directory_outputs_before_searching(
+        tmp_path, capsys, monkeypatch, taken):
+    searched = []
+    first_hits = cli._first_hits
+    monkeypatch.setattr(cli, "_first_hits",
+                        lambda *args: searched.append(args) or first_hits(*args))
+    argv = ["atlas", "--n", "3", "--out", str(tmp_path / "atlas.csv")]
+    (tmp_path / taken).mkdir()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("io error:") and "Is a directory" in err
+    assert searched == []
+    assert [p.name for p in tmp_path.iterdir()] == [taken]
+    # the same run searches every orbit once the path is free
+    (tmp_path / taken).rmdir()
+    assert main(argv) == 0
+    assert len(searched) == len(cli.enumerate_colorings(3))
+
+
+def test_find_out_of_range_k_needs_no_node(capsys):
+    code, report = run_json(capsys, [
+        "find", "--coloring", "RRBB", "--k", "9", "--max-nodes", "0"])
+    assert code == 1
+    assert report["result"]["found"] is False
+
+
+def test_cli_import_loads_no_pool_modules():
+    # the sweep imports its process pool only when it runs one
+    code = ("import sys, convexmatch.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    done = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_search_gate_precedes_run_length_expansion(capsys):

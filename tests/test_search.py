@@ -145,6 +145,18 @@ def test_find_with_k():
     assert find_with_k(col, 50) is None
 
 
+def test_out_of_range_k_is_answered_without_a_search(monkeypatch):
+    def no_tables(coloring):
+        raise AssertionError(f"tables built for {coloring}")
+
+    monkeypatch.setattr(search, "_Tables", no_tables)
+    for n in range(1, 5):
+        for colors in oracle.colorings(n):
+            col = Coloring(colors)
+            for k in (-1, comb(n, 2) + 1, 10**30):
+                assert find_with_k(col, k, SearchBudget(max_nodes=0)) is None
+
+
 def test_find_with_k_agrees_with_spectrum():
     for rep in oracle.canonical_reps(4):
         col = Coloring(rep)
@@ -166,6 +178,11 @@ def test_enumerate_colorings():
         assert [str(c) for c in reps] == oracle.canonical_reps(n)
     with pytest.raises(OutOfRange):
         enumerate_colorings(0)
+
+
+def test_necklaces_are_the_least_rotations():
+    for n in range(1, 8):
+        assert list(search._necklaces(n)) == oracle.reference_necklaces(n), n
 
 
 def test_enumerate_colorings_matches_reference_filter():
