@@ -40,6 +40,7 @@ from .construct import (
 )
 from .core import Coloring, Matching, _images, block_profile, crossing_number
 from .errors import (
+    BudgetExceeded,
     CorruptJournal,
     DomainNegative,
     FalsificationAlarm,
@@ -52,8 +53,6 @@ from .errors import (
 from .search import (
     SearchBudget,
     _check_size,
-    _first_hits,
-    _Tables,
     enumerate_colorings,
     find_with_k,
     max_crossing,
@@ -287,15 +286,15 @@ def atlas(n: int, out_path: str, budget: SearchBudget | None = None) -> dict:
     """Spectrum atlas over all orbits: CSV rows plus a JSON summary.
 
     Each orbit's size is the number of distinct images in the one scan
-    of its canonical coloring under the symmetry group.  Its counts come
-    from the spectrum search's ``_first_hits``, whose witness masks are
-    never decoded: the atlas writes no matching.  Progress is
-    journaled per canonical coloring next to the output file, so an
-    interrupted run resumes where it stopped, even after a torn last
-    write; the journal is removed once the CSV and sidecar have been
-    written atomically.  An n above the search limit, and a CSV or
-    sidecar path that is an existing directory, are rejected before any
-    file is touched.
+    of its canonical coloring under the symmetry group.  Its counts are
+    its ``spectrum``'s, whose witnesses the atlas never reads and so
+    never decodes.  Progress is journaled per canonical coloring next to
+    the output file, so an interrupted run resumes where it stopped,
+    even after a torn last write or an orbit that ran out of nodes,
+    which ``BudgetExceeded`` names; the journal is removed once the CSV
+    and sidecar have been written atomically.  An n above the search
+    limit, and a CSV or sidecar path that is an existing directory, are
+    rejected before any file is touched.
     """
     budget = budget or SearchBudget()
     _check_size(n, budget)
@@ -311,7 +310,12 @@ def atlas(n: int, out_path: str, budget: SearchBudget | None = None) -> dict:
         for rep in reps:
             if rep.colors in done:
                 continue
-            achievable = sorted(_first_hits(_Tables(rep), budget.max_nodes))
+            try:
+                achievable = spectrum(rep, budget).achievable
+            except BudgetExceeded as out:
+                raise BudgetExceeded(
+                    f"node budget exhausted on orbit {rep.colors}", out.partial
+                ) from None
             low = achievable[0]
             high = achievable[-1]
             missing = [v for v in range(low, high + 1) if v not in achievable]

@@ -8,7 +8,7 @@ deterministic: it is the first matching with its count in lexicographic
 order.  ``spectrum``, ``max_crossing``, ``find_with_k`` and the sweep
 all run one kernel, ``_dfs``, and differ only in what they want.  The
 kernel carries a bitmask of the crossing counts still wanted and each
-search's leaf callback shrinks it: ``_first_hits`` wants every count not
+search's leaf callback shrinks it: ``spectrum`` wants every count not
 yet found, ``max_crossing`` every count above its incumbent, and
 ``_first_hit`` a fixed set (k for ``find_with_k``, every count above
 the bound for the sweep) until its first leaf; the counts above k are
@@ -35,9 +35,9 @@ nodes visited before then; the kernel counts it down as a plain int and
 raises ``BudgetExceeded`` on the node after the last one allowed, the
 settled last level included.
 
-``spectrum`` keeps the edge mask of the first leaf with each count and
-decodes them into witnesses at the end; the CLI's atlas, which writes
-only the counts, reads the same masks through ``_first_hits`` and
+``spectrum`` keeps the edge mask of the first leaf with each count, and
+its ``Spectrum`` decodes them into witnesses on first read.  The CLI's
+atlas, which writes only the counts, calls the same ``spectrum`` and
 decodes none.
 
 ``enumerate_colorings`` lists one canonical representative per symmetry
@@ -75,6 +75,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from math import comb, gcd
 
@@ -155,12 +156,22 @@ def _check_size(n: int, budget: SearchBudget):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Achievable crossing numbers of a coloring, with one witness each."""
+    """Achievable crossing numbers of a coloring, with one witness each.
+
+    ``witnesses`` holds the first matching found with each count, in
+    hit order.  It is decoded from the search's edge masks on its first
+    read, so a caller that reads only the counts decodes none.
+    """
 
     n: int
     achievable: tuple[int, ...]
-    witnesses: dict[int, Matching] = field(compare=False)
-    complete: bool = True
+    complete: bool
+    _tables: _Tables = field(compare=False, repr=False)
+    _hits: dict[int, int] = field(compare=False, repr=False)
+
+    @cached_property
+    def witnesses(self) -> dict[int, Matching]:
+        return {k: self._tables.matching(m) for k, m in self._hits.items()}
 
     @property
     def missing(self) -> tuple[int, ...]:
@@ -345,15 +356,19 @@ def _above(n: int, k: int) -> int:
     return (1 << comb(n, 2) + 1) - (1 << k + 1)
 
 
-def _first_hits(tables: _Tables, max_nodes: int | None) -> dict[int, int]:
-    """Every achievable count, with the edge mask of its first leaf.
+def spectrum(coloring: Coloring, budget: SearchBudget | None = None) -> Spectrum:
+    """Every achievable crossing number, with a first-found witness each.
 
     Every count not yet found is wanted, so no subtree that could hold
     one is cut, and the search stops once all C(n,2) + 1 counts are
-    found.  The dict lists the counts in the order the search hit them.
-    Exhausting the node budget raises with the masks found so far
+    found.  Each count keeps the edge mask of its first leaf, in hit
+    order, and ``Spectrum.witnesses`` decodes them on first read.
+    Exhausting the node budget raises with the incomplete spectrum
     attached as ``partial``.
     """
+    budget = budget or SearchBudget()
+    _check_size(coloring.n, budget)
+    tables = _Tables(coloring)
     unseen = _above(tables.n, -1)
     found: dict[int, int] = {}
 
@@ -363,37 +378,16 @@ def _first_hits(tables: _Tables, max_nodes: int | None) -> dict[int, int]:
         unseen &= ~(1 << count)
         return unseen
 
-    try:
-        _dfs(tables, unseen, max_nodes, hit)
-    except BudgetExceeded as out:
-        out.partial = found
-        raise
-    return found
-
-
-def spectrum(coloring: Coloring, budget: SearchBudget | None = None) -> Spectrum:
-    """Every achievable crossing number, with a first-found witness each.
-
-    The witnesses are decoded from ``_first_hits``' edge masks; the CLI's
-    atlas, which writes only the counts, reads those masks directly and
-    decodes none.  Exhausting the node budget raises with the incomplete
-    spectrum attached.
-    """
-    budget = budget or SearchBudget()
-    _check_size(coloring.n, budget)
-    tables = _Tables(coloring)
-
-    def decoded(found: dict[int, int], complete: bool) -> Spectrum:
-        witnesses = {k: tables.matching(m) for k, m in found.items()}
-        achievable = tuple(sorted(witnesses))
-        return Spectrum(tables.n, achievable, witnesses, complete)
+    def result(complete: bool) -> Spectrum:
+        return Spectrum(tables.n, tuple(sorted(found)), complete, tables,
+                        found)
 
     try:
-        found = _first_hits(tables, budget.max_nodes)
+        _dfs(tables, unseen, budget.max_nodes, hit)
     except BudgetExceeded as out:
-        out.partial = decoded(out.partial, False)
+        out.partial = result(False)
         raise
-    return decoded(found, True)
+    return result(True)
 
 
 def max_crossing(

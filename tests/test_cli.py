@@ -445,9 +445,9 @@ def test_atlas_failed_replace_leaves_no_temporary_file(tmp_path, monkeypatch):
 def test_atlas_refuses_directory_outputs_before_searching(
         tmp_path, capsys, monkeypatch, taken):
     searched = []
-    first_hits = cli._first_hits
-    monkeypatch.setattr(cli, "_first_hits",
-                        lambda *args: searched.append(args) or first_hits(*args))
+    real = cli.spectrum
+    monkeypatch.setattr(cli, "spectrum",
+                        lambda *args: searched.append(args) or real(*args))
     argv = ["atlas", "--n", "3", "--out", str(tmp_path / "atlas.csv")]
     (tmp_path / taken).mkdir()
     assert main(argv) == 2
@@ -520,7 +520,7 @@ def _interrupted_atlas(monkeypatch, n, out, rows):
     """Run atlas until it has journaled ``rows`` more rows."""
     import convexmatch.cli as cli
 
-    real = cli._first_hits
+    real = cli.spectrum
     calls = []
 
     def stopping(*args):
@@ -529,10 +529,10 @@ def _interrupted_atlas(monkeypatch, n, out, rows):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cli, "_first_hits", stopping)
+    monkeypatch.setattr(cli, "spectrum", stopping)
     with pytest.raises(KeyboardInterrupt):
         atlas(n, str(out))
-    monkeypatch.setattr(cli, "_first_hits", real)
+    monkeypatch.setattr(cli, "spectrum", real)
 
 
 def test_atlas_resumes_after_torn_journal(tmp_path, monkeypatch):
@@ -662,6 +662,54 @@ def test_atlas_budget_agrees_with_spectrum(tmp_path):
             assert runs_out(atlas, n, out, budget) == any(
                 runs_out(spectrum, rep, budget) for rep in reps
             ), (n, k)
+
+
+def test_atlas_names_the_orbit_that_ran_out_of_nodes(tmp_path, capsys):
+    from convexmatch import SearchBudget, enumerate_colorings, spectrum
+    from convexmatch.errors import BudgetExceeded
+
+    def runs_out(rep):
+        try:
+            spectrum(rep, SearchBudget(max_nodes=36))
+        except BudgetExceeded:
+            return True
+        return False
+
+    reps = enumerate_colorings(4)
+    stop = next(i for i, rep in enumerate(reps) if runs_out(rep))
+    assert stop > 0
+    out = tmp_path / "atlas.csv"
+    argv = ["atlas", "--n", "4", "--out", str(out)]
+    assert main(argv + ["--max-nodes", "36"]) == 1
+    assert capsys.readouterr().err == (
+        f"no: node budget exhausted on orbit {reps[stop].colors}\n")
+    # the orbits before it are journaled, and a run without the cap
+    # resumes from them
+    journal = tmp_path / "atlas.csv.journal"
+    assert [json.loads(line)["coloring"]
+            for line in journal.read_text().splitlines()] == [
+        rep.colors for rep in reps[:stop]]
+    assert [p.name for p in tmp_path.iterdir()] == [journal.name]
+    clean = tmp_path / "clean.csv"
+    atlas(4, str(clean))
+    assert main(argv) == 0
+    assert out.read_bytes() == clean.read_bytes()
+    assert not journal.exists()
+
+
+def test_atlas_decodes_no_witness(tmp_path, monkeypatch):
+    from convexmatch import search
+
+    clean = tmp_path / "clean.csv"
+    atlas(6, str(clean))
+
+    def matching(self, chosen):
+        raise AssertionError("the atlas decoded a witness")
+
+    monkeypatch.setattr(search._Tables, "matching", matching)
+    out = tmp_path / "atlas.csv"
+    atlas(6, str(out))
+    assert out.read_bytes() == clean.read_bytes()
 
 
 # ----------------------------------------------------------------- render

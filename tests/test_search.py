@@ -33,7 +33,6 @@ from convexmatch.errors import (
 )
 from convexmatch.search import (
     _dfs,
-    _first_hits,
     _sweep_job,
     _Tables,
 )
@@ -89,6 +88,8 @@ def test_spectrum_budget_partial():
 
 
 def test_spectrum_decodes_first_hits_in_hit_order():
+    # every count not yet found is wanted, so the reference kernel's hits
+    # are the first leaf of each count, in the order the search meets them
     rng = random.Random(7)
     for _ in range(40):
         n = rng.randint(1, 7)
@@ -96,27 +97,59 @@ def test_spectrum_decodes_first_hits_in_hit_order():
         rng.shuffle(colors)
         col = Coloring("".join(colors))
         tables = _Tables(col)
-        found = _first_hits(tables, None)
-        spec = spectrum(col)
-        assert list(spec.witnesses) == list(found)
-        assert spec.achievable == tuple(sorted(found))
-        for k, chosen in found.items():
-            assert spec.witnesses[k] == tables.matching(chosen)
-        # a budget cut hands back the same prefix, decoded or not
-        for max_nodes in (0, 3, 17):
+        every = (1 << comb(n, 2) + 1) - 1
+
+        def reference(max_nodes):
+            found = {}
+
+            def hit(count, chosen):
+                found[count] = tables.matching(chosen)
+                return every & ~sum(1 << k for k in found)
+
             try:
-                _first_hits(tables, max_nodes)
-            except BudgetExceeded as out:
-                masks = out.partial
-            else:
+                oracle.reference_dfs(tables, every, max_nodes, hit)
+            except BudgetExceeded:
+                return found, False
+            return found, True
+
+        found, _ = reference(None)
+        spec = spectrum(col)
+        assert list(spec.witnesses.items()) == list(found.items())
+        assert spec.achievable == tuple(sorted(found))
+        # a budget cut hands back the reference's prefix
+        for max_nodes in (0, 3, 17):
+            prefix, complete = reference(max_nodes)
+            if complete:
                 assert spectrum(col, SearchBudget(max_nodes=max_nodes)) == spec
                 continue
-            with pytest.raises(BudgetExceeded) as decoded:
+            with pytest.raises(BudgetExceeded) as cut:
                 spectrum(col, SearchBudget(max_nodes=max_nodes))
-            partial = decoded.value.partial
+            partial = cut.value.partial
             assert not partial.complete
-            assert list(partial.witnesses) == list(masks)
-            assert list(masks.items()) == list(found.items())[:len(masks)]
+            assert partial.achievable == tuple(sorted(prefix))
+            assert list(partial.witnesses.items()) == list(prefix.items())
+            assert list(prefix.items()) == list(found.items())[:len(prefix)]
+
+
+def test_spectrum_decodes_each_witness_once_on_first_read(monkeypatch):
+    decoded = []
+    real = _Tables.matching
+
+    def matching(self, chosen):
+        decoded.append(chosen)
+        return real(self, chosen)
+
+    monkeypatch.setattr(_Tables, "matching", matching)
+    full = spectrum(Coloring("RRBRBBRBRBRB"))
+    with pytest.raises(BudgetExceeded) as cut:
+        spectrum(Coloring("RB" * 8), SearchBudget(max_nodes=50))
+    assert decoded == []
+    for spec in (full, cut.value.partial):
+        decoded.clear()
+        witnesses = spec.witnesses
+        assert len(decoded) == len(spec.achievable) > 0
+        assert spec.witnesses is witnesses
+        assert len(decoded) == len(spec.achievable)
 
 
 def test_max_crossing_frozen():
