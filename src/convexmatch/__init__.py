@@ -11,9 +11,7 @@ verifies the closed-form bounds against those searches.
 __version__ = "0.1.0"
 
 from .compose import (
-    AchievableRange,
     CompositionPlan,
-    achievable_range,
     allocate,
     compose,
     window_partition,
@@ -68,7 +66,6 @@ from .search import (
 
 __all__ = [
     "__version__",
-    "AchievableRange",
     "BLUE",
     "BlockProfile",
     "BoundBreakdown",
@@ -87,7 +84,6 @@ __all__ = [
     "Symmetry",
     "Unachievable",
     "UsageError",
-    "achievable_range",
     "all_symmetries",
     "allocate",
     "alternating_coloring",

@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 from math import comb, cos, pi, sin
 
 from . import __version__
-from .compose import AchievableRange, compose
+from .compose import compose
 from .construct import (
     _runs_coloring,
     _sixblock_shape,
@@ -487,7 +487,7 @@ def _cmd_compose(ns) -> tuple[dict, int]:
     return {
         "coloring": coloring.colors,
         "k": ns.k,
-        "achievable_max": AchievableRange(coloring.n, plan.ell).max_k,
+        "achievable_max": plan.max_k,
         "windows": [list(w) for w in plan.windows],
         "targets": list(plan.targets),
         "remainder": list(plan.remainder),

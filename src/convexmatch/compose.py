@@ -8,6 +8,8 @@ from the menu {0} union [3, 15] (every 14-point coloring realizes that
 whole menu), and matches the remainder without crossings.  Windows are
 contiguous in the residual cyclic sequence, so edges from different
 windows never cross and the total is the sum of the targets.
+The plan holds that range (``k in plan``, ``plan.max_k``), and
+``allocate`` accepts exactly those k: both ask ``_in_menu``.
 
 The existence of a balanced window at every step follows from a parity
 walk: sliding a 14-point window one step changes its color surplus by
@@ -35,9 +37,15 @@ WINDOW_POINTS = 14
 WINDOW_MAX = 15
 
 
+def _in_menu(k: int, ell: int) -> bool:
+    """Whether ell windows guarantee k: k in {0} union [3, 15*ell]."""
+    return k == 0 or 3 <= k <= WINDOW_MAX * ell
+
+
 @dataclass(frozen=True)
 class CompositionPlan:
-    """Windows, their crossing targets, and the crossing-free remainder."""
+    """Windows, their crossing targets, and the crossing-free remainder;
+    ``k in plan`` for the guaranteed k, {0} union [3, ``max_k``]."""
 
     windows: tuple[tuple[int, ...], ...]
     remainder: tuple[int, ...]
@@ -47,20 +55,12 @@ class CompositionPlan:
     def ell(self) -> int:
         return len(self.windows)
 
-
-@dataclass(frozen=True)
-class AchievableRange:
-    """The guaranteed-achievable crossing numbers {0} union [3, 15*ell]."""
-
-    n: int
-    ell: int
-
     @property
     def max_k(self) -> int:
         return WINDOW_MAX * self.ell
 
     def __contains__(self, k: int) -> bool:
-        return k == 0 or 3 <= k <= self.max_k
+        return _in_menu(k, self.ell)
 
 
 def window_partition(coloring: Coloring) -> CompositionPlan:
@@ -107,6 +107,8 @@ def window_partition(coloring: Coloring) -> CompositionPlan:
             windows.append(tuple(residual[t:] + residual[:end]))
             residual = residual[end:t]
             t = 0
+    # the remainder keeps at most 12 points, so 7*ell >= n - 6
+    assert 7 * len(windows) >= coloring.n - 6
     return CompositionPlan(tuple(windows), tuple(residual))
 
 
@@ -116,15 +118,16 @@ def allocate(k: int, ell: int) -> tuple[int, ...]:
     Larger targets come first.  Writing k = 15q + r: r = 0 uses q
     fifteens; r >= 3 appends one window of r; r in {1, 2} borrows from a
     fifteen to form 13 + 3 or 14 + 3.  Exactly k in {1, 2} (and k < 0 or
-    k > 15*ell) has no allocation.
+    k > 15*ell) has no allocation: ``allocate`` accepts exactly the k
+    of a plan with ell windows (``k in plan``).
     """
-    if k == 0:
-        return (0,) * ell
-    if k < 0 or k in (1, 2) or k > WINDOW_MAX * ell:
+    if not _in_menu(k, ell):
         raise Unachievable(
             f"k={brief(k)} outside {{0}} union [3, {WINDOW_MAX * ell}] "
             f"for {ell} windows"
         )
+    if k == 0:
+        return (0,) * ell
     q, r = divmod(k, WINDOW_MAX)
     if r == 0:
         head = [WINDOW_MAX] * q
@@ -135,14 +138,6 @@ def allocate(k: int, ell: int) -> tuple[int, ...]:
         head = [WINDOW_MAX] * (q - 1) + [r + 12, 3]
     head += [0] * (ell - len(head))
     return tuple(head)
-
-
-def achievable_range(coloring: Coloring) -> AchievableRange:
-    """Crossing numbers guaranteed achievable for this coloring."""
-    plan = window_partition(coloring)
-    # the remainder keeps at most 12 points, so 7*ell >= n - 6
-    assert 7 * plan.ell >= coloring.n - 6
-    return AchievableRange(coloring.n, plan.ell)
 
 
 def _relabeled(coloring: Coloring, positions) -> Coloring:

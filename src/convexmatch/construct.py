@@ -34,14 +34,15 @@ one witness; ``search._screen_survivors`` proves its count.
 
 The constructions share one arc join (``_join``, index by index), one
 scan of block frames (``_frames``) and one builder from run sizes to a
-coloring (``_runs_coloring``).  Every other returned construction is
-checked once, by the validating ``crossing_number``, against its closed
-form or the bound; a construction that misses its guaranteed count
-raises a falsification alarm instead of returning quietly.
-``plane_matching`` is the exception: its zero follows from its stack
+coloring (``_runs_coloring``).  The alternating, 4-block and 6-block
+constructions share one self-check, ``_checked``: the validating
+``crossing_number`` recounts the matching, and a count other than the
+closed form raises a falsification alarm instead of returning quietly.
+``plane_matching`` needs none: its zero follows from its stack
 discipline, and its callers (the CLI and ``compose``) recount it.
 ``lemma3_witness`` scores its joins with the unvalidated O(n log n)
-counter ``_crossing_count`` and checks only the winner.
+counter ``_crossing_count`` and checks only the winner, against the
+bound.
 """
 
 from __future__ import annotations
@@ -104,6 +105,19 @@ def _runs_coloring(sizes) -> Coloring:
     )
 
 
+def _checked(
+    name: str, coloring: Coloring, matching: Matching, expected: int
+) -> int:
+    """The construction's count by the validating ``crossing_number``;
+    a count other than its closed form raises a falsification alarm."""
+    count = crossing_number(coloring, matching)
+    if count != expected:
+        raise WitnessBelowBound(
+            f"{name} construction counted {count}, expected {expected}"
+        )
+    return count
+
+
 def plane_matching(coloring: Coloring) -> Matching:
     """Crossing-free perfect matching, built by one clockwise stack pass.
 
@@ -149,12 +163,7 @@ def alternating_max_matching(n: int) -> tuple[Coloring, Matching]:
         step = n + 1 if i % 2 == 0 else n - 1
         pairs.append((i, (i + step) % (2 * n)))
     matching = Matching.from_pairs(pairs)
-    count = crossing_number(coloring, matching)
-    expected = comb(n, 2) - n // 2
-    if count != expected:
-        raise WitnessBelowBound(
-            f"alternating construction counted {count}, expected {expected}"
-        )
+    _checked("alternating", coloring, matching, comb(n, 2) - n // 2)
     return coloring, matching
 
 
@@ -244,12 +253,7 @@ def fourblock_max_matching(profile: BlockProfile) -> tuple[Matching, int]:
         (a2[:b1 - x], a3[r2 - (b1 - x):]),
         (a3[:n - r1 - b1 + x], a4[r1 - x:]),
     )))
-    count = crossing_number(coloring, matching)
-    expected = comb(n, 2) - plan.h_value
-    if count != expected:
-        raise WitnessBelowBound(
-            f"4-block construction counted {count}, expected {expected}"
-        )
+    count = _checked("4-block", coloring, matching, comb(n, 2) - plan.h_value)
     return matching, count
 
 
@@ -334,22 +338,15 @@ def sixblock_witness(m: int, y1: int, y2: int) -> tuple[Coloring, Matching]:
     coloring = _runs_coloring(sixblock_sizes(m, y1, y2))
     blocks = block_profile(coloring).block_positions()
     matching = Matching.from_pairs(_sixblock_joins(blocks, m, y1, y2))
-    count = crossing_number(coloring, matching)
-    expected = sixblock_crossing_count(m, y1, y2)
-    if count != expected:
-        raise WitnessBelowBound(
-            f"6-block construction counted {count}, expected {expected}"
-        )
+    _checked("6-block", coloring, matching, sixblock_crossing_count(m, y1, y2))
     return coloring, matching
 
 
 def _sixblock_shape(sizes) -> tuple[int, int, int] | None:
     """(m, y1, y2) when six positive block sizes read, in the order
-    given, (2m+1+y1, 2m+1, y2, y1, 2m+1, 2m+1+y2); else None."""
-    s0, s1, s2, s3, s4, s5 = sizes
-    if s1 != s4 or s1 % 2 == 0 or s0 != s1 + s3 or s5 != s4 + s2:
-        return None
-    return (s1 - 1) // 2, s3, s2
+    given, ``sixblock_sizes(m, y1, y2)``; else None."""
+    shape = ((sizes[1] - 1) // 2, sizes[3], sizes[2])
+    return shape if sixblock_sizes(*shape) == tuple(sizes) else None
 
 
 def _half_join(coloring: Coloring, c: int) -> list[tuple[int, int]]:

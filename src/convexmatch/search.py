@@ -347,7 +347,10 @@ def _dfs(
                 break
         return wanted
 
-    dive(0, (1 << n) - 1, 0, 0, wanted, [])
+    try:
+        dive(0, (1 << n) - 1, 0, 0, wanted, [])
+    finally:
+        del dive  # the closure holds itself through its cell
 
 
 def _above(n: int, k: int) -> int:
@@ -476,6 +479,7 @@ def _necklaces(n: int) -> list[str]:
                 left[color] += 1
 
     extend(2, 1)
+    del extend  # the closure holds itself through its cell
     return found
 
 
@@ -645,6 +649,7 @@ def _screen_survivors(n: int, bound: int) -> list[str]:
             walk(t + 1, s + step, dev + a)
 
     walk(0, 0, 0)
+    del walk  # the closure holds itself through its cell
     found.sort()
     return found
 

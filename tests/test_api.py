@@ -8,7 +8,9 @@ from convexmatch import cli, search
 # names deleted, or moved to tests/oracle.py, because only tests read them
 GONE = {
     "convexmatch": ("GroupPartition", "group_partition", "AntipodalProfile",
-                    "antipodal_profile", "is_canonical"),
+                    "antipodal_profile", "is_canonical", "AchievableRange",
+                    "achievable_range"),
+    "convexmatch.compose": ("AchievableRange", "achievable_range"),
     "convexmatch.core": ("AntipodalProfile", "antipodal_profile", "IDENTITY",
                          "is_canonical"),
     "convexmatch.construct": ("GroupPartition", "group_partition",
@@ -26,7 +28,6 @@ GONE_MEMBERS = (
     ("Symmetry", "apply_to_matching"),
     ("Symmetry", "inverse"),
     ("BlockProfile", "s"),
-    ("AchievableRange", "to_set"),
 )
 
 

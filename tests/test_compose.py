@@ -8,7 +8,6 @@ import oracle
 from convexmatch import (
     Coloring,
     Matching,
-    achievable_range,
     allocate,
     compose,
     crossing_number,
@@ -96,12 +95,22 @@ def test_window_partition_matches_reference_on_periodic_colorings():
 
 
 def test_achievable_range():
-    r = achievable_range(Coloring("RB" * 7))
-    assert r.ell == 1
-    assert r.max_k == 15
-    assert 0 in r and 3 in r and 15 in r
-    assert 1 not in r and 2 not in r and 16 not in r
-    assert achievable_range(Coloring("RB" * 40)).ell == 5
+    plan = window_partition(Coloring("RB" * 7))
+    assert plan.ell == 1
+    assert plan.max_k == 15
+    assert 0 in plan and 3 in plan and 15 in plan
+    assert 1 not in plan and 2 not in plan and 16 not in plan
+    assert window_partition(Coloring("RB" * 40)).ell == 5
+    # allocate splits exactly the k that the plan contains
+    for colors in ("RB" * 7, "RB" * 40, "RRBB" * 9 + "RB"):
+        plan = window_partition(Coloring(colors))
+        for k in range(-3, plan.max_k + 4):
+            try:
+                allocate(k, plan.ell)
+            except Unachievable:
+                assert k not in plan, (colors, k)
+            else:
+                assert k in plan, (colors, k)
 
 
 def test_allocate_frozen():

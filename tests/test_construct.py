@@ -27,7 +27,7 @@ from convexmatch import (
     sixblock_crossing_count,
     sixblock_witness,
 )
-from convexmatch.construct import sixblock_sizes
+from convexmatch.construct import _sixblock_shape, sixblock_sizes
 from convexmatch.core import (
     _crossing_count,
     all_symmetries,
@@ -87,12 +87,24 @@ def test_alternating_max_matching_is_the_maximum():
 
 
 def test_alternating_miscount_raises_alarm(monkeypatch):
+    # the alternating, 4-block and 6-block constructions share one
+    # recount, which reads crossing_number through the module
     import convexmatch.construct as construct
 
     monkeypatch.setattr(construct, "crossing_number",
                         lambda coloring, matching: comb2(coloring.n) - 1)
-    with pytest.raises(WitnessBelowBound):
-        alternating_max_matching(4)
+    builds = (
+        (lambda: alternating_max_matching(4),
+         "alternating construction counted 5, expected 4"),
+        (lambda: fourblock_max_matching(block_profile(Coloring("RRRBBRBB"))),
+         "4-block construction counted 5, expected 4"),
+        (lambda: sixblock_witness(1, 1, 1),
+         "6-block construction counted 27, expected 21"),
+    )
+    for build, message in builds:
+        with pytest.raises(WitnessBelowBound) as alarm:
+            build()
+        assert str(alarm.value) == message
 
 
 def test_alternating_rejects_odd_and_tiny():
@@ -273,6 +285,20 @@ def test_sixblock_guards():
         sixblock_witness(0, 0, 1)
     with pytest.raises(OutOfRange):
         sixblock_witness(0, 1, 0)
+
+
+def test_sixblock_shape_inverts_sixblock_sizes():
+    # the shape is read through sixblock_sizes; the hand-written
+    # predicate it replaced is the reference
+    def reference(sizes):
+        s0, s1, s2, s3, s4, s5 = sizes
+        if s1 != s4 or s1 % 2 == 0 or s0 != s1 + s3 or s5 != s4 + s2:
+            return None
+        return (s1 - 1) // 2, s3, s2
+
+    for sizes in product(range(1, 9), repeat=6):
+        assert _sixblock_shape(sizes) == reference(sizes), sizes
+    assert _sixblock_shape([3, 1, 2, 2, 1, 3]) == (0, 2, 2)
 
 
 # -------------------------------------------------------- group partition

@@ -1,5 +1,6 @@
 """Tests for the exhaustive searches and the minmax sweep."""
 
+import gc
 import random
 from dataclasses import replace
 from math import comb
@@ -13,6 +14,7 @@ from convexmatch import (
     SearchBudget,
     balanced_fourblock_bound,
     canonicalize,
+    compose,
     crossing_number,
     enumerate_colorings,
     find_with_k,
@@ -738,3 +740,36 @@ def test_spectrum_nodes_on_alternating_ten():
     assert spec.missing == (1, 2, 41, 42, 43, 44, 45)
     with pytest.raises(BudgetExceeded):
         spectrum(col, SearchBudget(max_nodes=75_136))
+
+
+def test_searches_leave_no_reference_cycles(tmp_path, capsys):
+    # each recursive closure lets go of itself once its search returns,
+    # so a search leaves nothing for the cyclic collector
+    col = Coloring("RRBRBBRBRBBRRB")
+    wide = Coloring("RB" * 10 + "RRBB" * 5)
+    out = str(tmp_path / "atlas.csv")
+    calls = {
+        "spectrum": lambda: spectrum(col),
+        "max_crossing": lambda: max_crossing(col),
+        "find_with_k": lambda: find_with_k(col, 5),
+        "minmax_sweep": lambda: minmax_sweep(6),
+        "enumerate_colorings": lambda: enumerate_colorings(6),
+        "compose": lambda: compose(wide, 20),
+        "cli spectrum": lambda: main(["spectrum", "--coloring", str(col)]),
+        "cli compose": lambda: main(["compose", "--coloring", str(wide),
+                                     "--k", "20"]),
+        "cli construct witness": lambda: main([
+            "construct", "witness", "--coloring", str(wide)]),
+        "cli sweep": lambda: main(["sweep", "--n", "6", "--jobs", "1"]),
+        "cli atlas": lambda: main(["atlas", "--n", "6", "--out", out]),
+    }
+    for name, call in calls.items():
+        call()  # warm-up: lazy imports and caches
+        capsys.readouterr()
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0, name
+        finally:
+            gc.enable()
