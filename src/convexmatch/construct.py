@@ -40,9 +40,9 @@ constructions share one self-check, ``_checked``: the validating
 closed form raises a falsification alarm instead of returning quietly.
 ``plane_matching`` needs none: its zero follows from its stack
 discipline, and its callers (the CLI and ``compose``) recount it.
-``lemma3_witness`` scores its joins with the unvalidated O(n log n)
-counter ``_crossing_count`` and checks only the winner, against the
-bound.
+``lemma3_witness`` scores its joins with the unvalidated counter
+``_crossing_count``, the segmented-bitset scan that ``crossing_number``
+runs after validating, and checks only the winner, against the bound.
 """
 
 from __future__ import annotations
@@ -354,8 +354,10 @@ def _half_join(coloring: Coloring, c: int) -> list[tuple[int, int]]:
     cross: the half's red points, in order, to the antipodal half's blue
     points, then its blue points to the antipodal red points."""
     colors = coloring.colors
-    half = range(c, c + coloring.n)
-    far = [(p + coloring.n) % coloring.size for p in half]
+    n = coloring.n
+    size = 2 * n
+    half = range(c, c + n)
+    far = [(p + n) % size for p in half]
     return _join(
         (
             [p for p in half if colors[p] == color],
@@ -379,8 +381,10 @@ def lemma3_witness(coloring: Coloring) -> tuple[Matching, int]:
     falls relative to the bichromatic pairs can swing the count by more
     than the slack in the bound.  Scoring stops at the first join with
     all C(n,2) pairs crossing, as with an empty core at c = 0.  Joins
-    are scored with the unvalidated ``_crossing_count``; the winner
-    alone is recounted by ``crossing_number``, and a count below
+    are scored with the unvalidated ``_crossing_count``, one clockwise
+    scan of 2n points whose open chords fit one int bitset up to
+    n = 2**13; the winner alone is recounted by ``crossing_number``,
+    which runs the same scan after validating, and a count below
     ``balanced_fourblock_bound`` raises a falsification alarm.
 
     The best join has C(n,2) - min_c D(S(c)) crossings, S being the
@@ -405,14 +409,16 @@ def lemma3_witness(coloring: Coloring) -> tuple[Matching, int]:
       a translation and a sign and leaves min_c D(S(c)) alone: both
       results hold in every frame that ``_frames`` can find.
     """
+    size = coloring.size
+    every_pair = comb(coloring.n, 2)
     best_pairs = None
     best_count = -1
     for c in range(coloring.n):
         pairs = _half_join(coloring, c)
-        count = _crossing_count(pairs, coloring.size)
+        count = _crossing_count(pairs, size)
         if count > best_count:
             best_pairs, best_count = pairs, count
-            if count == comb(coloring.n, 2):
+            if count == every_pair:
                 break
     assert best_pairs is not None
     matching = Matching.from_pairs(best_pairs)

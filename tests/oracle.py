@@ -3,9 +3,12 @@
 Nothing here imports the package under test, apart from the exceptions
 ``reference_dfs`` and ``reference_windows`` raise, the ``Coloring``
 that ``reference_colorings`` builds, the ``_images`` scan that
-``is_canonical`` reads, the arc joins, constructions, counters and
-alarm that ``reference_lemma3_witness`` and ``_half_turn`` build, score
-and raise, and the orbit enumeration that ``reference_sweep`` walks.
+``is_canonical`` reads, the arc joins, constructions, validating
+recount and alarm that ``reference_lemma3_witness`` and ``_half_turn``
+build, check and raise, and the orbit enumeration that
+``reference_sweep`` walks.  Joins are scored with
+``reference_crossing_count``, the package's Fenwick-tree counter
+before its segmented bitsets, never with the counter under test.
 Matchings are enumerated through permutations, crossings through
 pairwise interleaving, and symmetry through string rotation, so any
 agreement with the library is evidence rather than tautology.  Sizes
@@ -57,7 +60,6 @@ from convexmatch.core import (
     RED,
     Coloring,
     Matching,
-    _crossing_count,
     _images,
     block_profile,
     crossing_number,
@@ -85,6 +87,47 @@ def chords_cross(e, f):
 
 def count_crossings(pairs):
     return sum(chords_cross(e, f) for e, f in combinations(pairs, 2))
+
+
+def reference_crossing_count(edges_seq, size: int) -> int:
+    """``core._crossing_count`` before the segmented bitsets, verbatim:
+    the crossing count of pairwise disjoint edges, no validation.
+
+    One clockwise scan in O(len(edges_seq) * log size) time.  A Fenwick
+    tree marks the left end of every chord that is open at the scan
+    position.  When chord (a, b) closes at b, the open chords whose left
+    end lies in (a, b) began inside it and end beyond it, so each
+    crosses it; every other chord is nested in it, disjoint from it, or
+    encloses it.
+    """
+    partner = [-1] * size
+    for a, b in edges_seq:
+        partner[a] = b
+        partner[b] = a
+    tree = [0] * (size + 1)  # 1-based; slot i + 1 holds position i
+    opened = 0
+    total = 0
+    for p in range(size):
+        a = partner[p]
+        if a > p:  # p opens a chord
+            opened += 1
+            i = p + 1
+            while i <= size:
+                tree[i] += 1
+                i += i & -i
+        elif a >= 0:  # p closes the chord from a
+            # every open left end lies before p; those after a cross
+            total += opened
+            i = a + 1
+            while i:
+                total -= tree[i]
+                i -= i & -i
+            opened -= 1
+            i = a + 1
+            while i <= size:
+                tree[i] -= 1
+                i += i & -i
+    return total
 
 
 def colorings(n):
@@ -441,13 +484,14 @@ def _lemma3_candidates(coloring):
 
 def reference_lemma3_witness(coloring):
     """``construct.lemma3_witness`` before the block candidates were
-    dropped and the cut-pair scan became the n half-turns, verbatim:
-    the cut-pair joins, then the exact 4-block maximum, then the
-    six-block join, keeping the first best."""
+    dropped and the cut-pair scan became the n half-turns, verbatim
+    apart from scoring with ``reference_crossing_count``: the cut-pair
+    joins, then the exact 4-block maximum, then the six-block join,
+    keeping the first best."""
     best_pairs = None
     best_count = -1
     for pairs in _lemma3_candidates(coloring):
-        count = _crossing_count(pairs, coloring.size)
+        count = reference_crossing_count(pairs, coloring.size)
         if count > best_count:
             best_pairs, best_count = pairs, count
             if count == comb(coloring.n, 2):

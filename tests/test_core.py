@@ -19,6 +19,7 @@ from convexmatch import (
     plane_matching,
     validate,
 )
+import convexmatch.core as core
 from convexmatch.core import Symmetry, _crossing_count
 from convexmatch.errors import (
     InvalidMatching,
@@ -117,6 +118,79 @@ def test_crossing_count_matches_pairwise_at_n_200():
             for i, e in enumerate(pairs) for f in pairs[i + 1:]
         )
         assert _crossing_count(pairs, size) == pairwise
+
+
+def _partial_matchings(points):
+    """Every set of pairwise disjoint chords on ``points``, the empty one
+    included; chords come with either endpoint first."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    yield from _partial_matchings(rest)
+    for i, other in enumerate(rest):
+        for tail in _partial_matchings(rest[:i] + rest[i + 1:]):
+            yield [(first, other) if i % 2 else (other, first), *tail]
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3])
+def test_crossing_count_reaches_back_across_narrow_segments(
+    monkeypatch, bits
+):
+    # segments of 2, 4 or 8 points make almost every chord reach back,
+    # so the branch runs exhaustively on every matching of <= 10 points
+    monkeypatch.setattr(core, "_SEGMENT_BITS", bits)
+    for size in range(11):
+        for pairs in _partial_matchings(list(range(size))):
+            expected = oracle.count_crossings(pairs)
+            assert _crossing_count(pairs, size) == expected, (bits, pairs)
+            assert oracle.reference_crossing_count(pairs, size) == expected
+
+
+def test_crossing_count_of_empty_and_partial_matchings():
+    assert _crossing_count([], 0) == 0
+    assert _crossing_count([], 12) == 0
+    rng = random.Random(41)
+    for size in (5, 40, 200, 1001):
+        points = list(range(size))
+        for _ in range(5):
+            rng.shuffle(points)
+            k = rng.randrange(size // 2 + 1)
+            pairs = [(points[2 * i], points[2 * i + 1]) for i in range(k)]
+            expected = oracle.count_crossings(pairs)
+            assert _crossing_count(pairs, size) == expected
+            assert oracle.reference_crossing_count(pairs, size) == expected
+
+
+def _families(n, rng):
+    """Diameter, nested, plane and random matchings on 2n points."""
+    size = 2 * n
+    yield "diameters", [(i, i + n) for i in range(n)], n * (n - 1) // 2
+    yield "nested", [(i, size - 1 - i) for i in range(n)], 0
+    colors = [RED] * n + [BLUE] * n
+    rng.shuffle(colors)
+    plane = plane_matching(Coloring("".join(colors))).sorted_edges
+    yield "plane", plane, 0
+    yield "random", _random_perfect_matching(rng, n), None
+
+
+@pytest.mark.parametrize("segments", [1, 2])
+@pytest.mark.parametrize("offset", [-2, 0, 2])
+def test_crossing_count_at_segment_boundaries(segments, offset):
+    size = (segments << core._SEGMENT_BITS) + offset
+    rng = random.Random(size)
+    for name, pairs, expected in _families(size // 2, rng):
+        reference = oracle.reference_crossing_count(pairs, size)
+        if expected is not None:
+            assert reference == expected, name
+        assert _crossing_count(pairs, size) == reference, name
+
+
+def test_crossing_count_on_a_random_matching_over_three_segments():
+    size = (3 << core._SEGMENT_BITS) + 1234
+    pairs = _random_perfect_matching(random.Random(43), size // 2)
+    assert _crossing_count(pairs, size) == \
+        oracle.reference_crossing_count(pairs, size)
 
 
 def test_matching_api():
