@@ -30,9 +30,8 @@ print("problems:", validate(col, m) or "none")
 print("crossings:", crossing_number(col, m))
 
 # Every balanced coloring admits a crossing-free matching.
-flat = plane_matching(col)
-print("plane matching:", flat.sorted_edges,
-      "crossings:", crossing_number(col, flat))
+flat, count = plane_matching(col)
+print("plane matching:", flat.sorted_edges, "crossings:", count)
 
 # Rotations, reflections, and swapping the two colors never change
 # crossing counts, so colorings are classified up to those symmetries.

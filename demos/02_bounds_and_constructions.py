@@ -8,8 +8,6 @@ from convexmatch import (
     alternating_max_matching,
     balanced_fourblock_bound,
     balanced_fourblock_coloring,
-    block_profile,
-    crossing_number,
     fourblock_max_matching,
     h_value,
     lemma3_witness,
@@ -30,20 +28,21 @@ plan = h_value(8, 4, 4)
 print("\nh_value(8,4,4): x* =", plan.x_star, " x =", plan.x,
       " h =", plan.h_value)
 
+# Every construction returns its matching with the count it checked.
 # For any 4-block coloring the maximum is met exactly by joining block
 # arcs in parallel.
 col = balanced_fourblock_coloring(8)
-matching, count = fourblock_max_matching(block_profile(col))
+matching, count = fourblock_max_matching(col)
 print("\n4-block", col, "max matching has", count, "crossings")
 
 # Alternating colorings sit at the other extreme: C(n,2) - n/2, the
 # most any coloring allows.
-col, matching = alternating_max_matching(8)
-print("alternating", col, "reaches", crossing_number(col, matching))
+col, matching, count = alternating_max_matching(8)
+print("alternating", col, "reaches", count)
 
 # A special 6-block family has an exact closed form too.
-col, matching = sixblock_witness(1, 1, 2)
-print("\n6-block", col, "count", crossing_number(col, matching),
+col, matching, count = sixblock_witness(1, 1, 2)
+print("\n6-block", col, "count", count,
       "== closed form", sixblock_crossing_count(1, 1, 2))
 
 # For an arbitrary coloring, lemma3_witness produces a concrete matching

@@ -23,7 +23,7 @@ import sys
 import time
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from math import comb, cos, pi, sin
+from math import cos, pi, sin
 
 from . import __version__
 from .compose import compose
@@ -35,10 +35,9 @@ from .construct import (
     fourblock_max_matching,
     lemma3_witness,
     plane_matching,
-    sixblock_crossing_count,
     sixblock_witness,
 )
-from .core import Coloring, Matching, _images, block_profile, crossing_number
+from .core import Coloring, Matching, _from_runs, _images, crossing_number
 from .errors import (
     BudgetExceeded,
     CorruptJournal,
@@ -101,16 +100,13 @@ def parse_coloring(text: str, budget: SearchBudget | None = None) -> Coloring:
             raise ParseError(
                 f"zero-length run in coloring text {brief_text(text)}"
             )
-        runs.append((count, match.group(2).upper()))
+        runs.append((match.group(2).upper(), count))
         consumed = match.end()
     if consumed != len(stripped):
         raise ParseError(f"unreadable coloring text {brief_text(text)}")
-    size = sum(count for count, _ in runs)
     if budget is not None:
-        _check_size(size // 2, budget)
-    if size > sys.maxsize:
-        raise OutOfRange(f"coloring has more than {sys.maxsize} points")
-    return Coloring("".join(color * count for count, color in runs))
+        _check_size(sum(count for _, count in runs) // 2, budget)
+    return _from_runs(runs)
 
 
 def format_matching(matching: Matching) -> str:
@@ -141,8 +137,9 @@ def _matching_payload(matching: Matching) -> dict:
 
 def render_svg(
     coloring: Coloring, matching: Matching, out_path: str | None = None
-) -> str:
-    """SVG picture: points on a circle, position 0 on top, clockwise.
+) -> tuple[str, int]:
+    """SVG picture: points on a circle, position 0 on top, clockwise,
+    and the crossing count in its caption.
 
     The styling is fixed so identical inputs yield byte-identical files.
     ``crossing_number`` validates the matching before anything is written.
@@ -196,7 +193,7 @@ def render_svg(
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(svg)
-    return svg
+    return svg, count
 
 
 ATLAS_HEADER = (
@@ -446,29 +443,26 @@ def _cmd_find(ns) -> tuple[dict, int]:
 def _cmd_construct(ns) -> tuple[dict, int]:
     kind = ns.kind
     if kind == "alternating":
-        coloring, matching = alternating_max_matching(ns.n)
-        count = comb(ns.n, 2) - ns.n // 2
+        coloring, matching, count = alternating_max_matching(ns.n)
     elif kind == "fourblock":
         if ns.blocks is not None:
             coloring = _runs_coloring(_parse_blocks(ns.blocks, 4))
         else:
             coloring = parse_coloring(ns.coloring)
-        matching, count = fourblock_max_matching(block_profile(coloring))
+        matching, count = fourblock_max_matching(coloring)
     elif kind == "sixblock":
         shape = _sixblock_shape(_parse_blocks(ns.blocks, 6))
         if shape is None:
             raise NotSixBlockPattern(
                 "sizes must fit (2m+1+y1, 2m+1, y2, y1, 2m+1, 2m+1+y2)"
             )
-        coloring, matching = sixblock_witness(*shape)
-        count = sixblock_crossing_count(*shape)
+        coloring, matching, count = sixblock_witness(*shape)
     elif kind == "witness":
         coloring = parse_coloring(ns.coloring)
         matching, count = lemma3_witness(coloring)
     elif kind == "plane":
         coloring = parse_coloring(ns.coloring)
-        matching = plane_matching(coloring)
-        count = crossing_number(coloring, matching)
+        matching, count = plane_matching(coloring)
     result = {
         "kind": kind,
         "coloring": coloring.colors,
@@ -519,10 +513,10 @@ def _cmd_render(ns) -> tuple[dict, int]:
     matching = parse_matching(ns.matching)
     if not ns.out:
         raise UsageError("render needs --out for the SVG path")
-    render_svg(coloring, matching, ns.out)
+    _, count = render_svg(coloring, matching, ns.out)
     return {
         "coloring": coloring.colors,
-        "count": crossing_number(coloring, matching),
+        "count": count,
         "out": ns.out,
     }, 0
 

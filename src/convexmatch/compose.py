@@ -171,8 +171,8 @@ def compose(coloring: Coloring, k: int) -> tuple[Matching, CompositionPlan]:
         pairs += [(window[a], window[b]) for a, b in solved[key]]
     if plan.remainder:
         sub = _relabeled(coloring, plan.remainder)
-        for a, b in plane_matching(sub).sorted_edges:
-            pairs.append((plan.remainder[a], plan.remainder[b]))
+        plane, _ = plane_matching(sub)
+        pairs += [(plan.remainder[a], plan.remainder[b]) for a, b in plane]
     matching = Matching.from_pairs(pairs)
     total = crossing_number(coloring, matching)
     if total != k:

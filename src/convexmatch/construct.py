@@ -32,22 +32,21 @@ pair, and the same join picked in closed form from the medians of S,
 as references.  The min-max sweep settles each orbit it builds with
 one witness; ``search._screen_survivors`` proves its count.
 
-The constructions share one arc join (``_join``, index by index), one
-scan of block frames (``_frames``) and one builder from run sizes to a
-coloring (``_runs_coloring``).  The alternating, 4-block and 6-block
-constructions share one self-check, ``_checked``: the validating
-``crossing_number`` recounts the matching, and a count other than the
-closed form raises a falsification alarm instead of returning quietly.
-``plane_matching`` needs none: its zero follows from its stack
-discipline, and its callers (the CLI and ``compose``) recount it.
-``lemma3_witness`` scores its joins with the unvalidated counter
-``_crossing_count``, the segmented-bitset scan that ``crossing_number``
-runs after validating, and checks only the winner, against the bound.
+Every construction returns its matching with the count it checked, so
+no caller recounts it or restates the closed form.  The plane,
+alternating, 4-block and 6-block constructions check through
+``_checked``: the validating ``crossing_number`` counts the matching
+once, and a count other than the closed form (0 for the plane one)
+raises a falsification alarm.  ``lemma3_witness`` scores its joins with
+the unvalidated ``_crossing_count``, the scan that ``crossing_number``
+runs after validating, and checks the winner against the bound.  The
+constructions share one arc join (``_join``, index by index), one scan
+of block frames (``_frames``) and one builder from run sizes to a
+coloring (``_runs_coloring``).
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, floor
@@ -59,6 +58,7 @@ from .core import (
     Coloring,
     Matching,
     _crossing_count,
+    _from_runs,
     block_profile,
     crossing_number,
 )
@@ -98,10 +98,8 @@ def _frames(profile: BlockProfile):
 
 def _runs_coloring(sizes) -> Coloring:
     """The coloring whose runs have these sizes, starting with red."""
-    if sum(sizes) > sys.maxsize:
-        raise OutOfRange(f"coloring has more than {sys.maxsize} points")
-    return Coloring(
-        "".join((RED if i % 2 == 0 else BLUE) * s for i, s in enumerate(sizes))
+    return _from_runs(
+        [(BLUE if i % 2 else RED, s) for i, s in enumerate(sizes)]
     )
 
 
@@ -118,13 +116,13 @@ def _checked(
     return count
 
 
-def plane_matching(coloring: Coloring) -> Matching:
-    """Crossing-free perfect matching, built by one clockwise stack pass.
+def plane_matching(coloring: Coloring) -> tuple[Matching, int]:
+    """Crossing-free perfect matching and its checked count, 0.
 
-    Unmatched positions are stacked; the stack is always monochromatic,
-    so any arriving point of the other color pops and matches the top.
-    Balance guarantees the stack drains by the end of the pass, and the
-    nesting discipline makes the result crossing-free.
+    One clockwise pass stacks unmatched positions.  The stack is always
+    monochromatic, so any arriving point of the other color pops and
+    matches the top.  Balance guarantees the stack drains by the end of
+    the pass, and the nesting discipline makes the result crossing-free.
     """
     stack: list[int] = []
     pairs = []
@@ -135,20 +133,19 @@ def plane_matching(coloring: Coloring) -> Matching:
         else:
             stack.append(p)
     assert not stack, "balanced coloring left unmatched points"
-    return Matching.from_pairs(pairs)
+    matching = Matching.from_pairs(pairs)
+    return matching, _checked("plane", coloring, matching, 0)
 
 
 def alternating_coloring(n: int) -> Coloring:
     """The coloring whose colors alternate at every step."""
     if n < 1:
         raise OutOfRange("need at least one pair")
-    if 2 * n > sys.maxsize:
-        raise OutOfRange(f"coloring has more than {sys.maxsize} points")
-    return Coloring((RED + BLUE) * n)
+    return _from_runs([(RED + BLUE, n)])
 
 
-def alternating_max_matching(n: int) -> tuple[Coloring, Matching]:
-    """Matching with C(n,2) - n/2 crossings on the alternating coloring.
+def alternating_max_matching(n: int) -> tuple[Coloring, Matching, int]:
+    """Alternating coloring, matching and its checked count C(n,2) - n/2.
 
     Even positions are matched n+1 steps ahead, odd positions n-1 steps
     ahead.  Each edge then crosses all but one of the others, which is the
@@ -163,8 +160,8 @@ def alternating_max_matching(n: int) -> tuple[Coloring, Matching]:
         step = n + 1 if i % 2 == 0 else n - 1
         pairs.append((i, (i + step) % (2 * n)))
     matching = Matching.from_pairs(pairs)
-    _checked("alternating", coloring, matching, comb(n, 2) - n // 2)
-    return coloring, matching
+    count = _checked("alternating", coloring, matching, comb(n, 2) - n // 2)
+    return coloring, matching, count
 
 
 def balanced_fourblock_coloring(n: int) -> Coloring:
@@ -228,16 +225,16 @@ def h_value(n: int, r1: int, b1: int) -> FourBlockPlan:
     return FourBlockPlan(n, r1, b1, x_star, x, f(x))
 
 
-def fourblock_max_matching(profile: BlockProfile) -> tuple[Matching, int]:
-    """Maximum-crossing matching on a coloring with exactly four blocks.
+def fourblock_max_matching(coloring: Coloring) -> tuple[Matching, int]:
+    """Maximum-crossing matching on four blocks, and its checked count.
 
     The construction pairs the four blocks through four index-by-index
     arc joins governed by the split ``x`` from ``h_value``; the crossing
     count is exactly C(n,2) minus the plan's minimum non-crossing count.
     """
+    profile = block_profile(coloring)
     if len(profile.runs) != 4:
         raise NotFourBlock(f"{len(profile.runs)} runs, need exactly 4")
-    coloring = profile.to_coloring()
     n = coloring.n
     # some red-led frame has both lead blocks <= n/2
     a1, a2, a3, a4 = next(
@@ -325,8 +322,10 @@ def sixblock_crossing_count(m: int, y1: int, y2: int) -> int:
     )
 
 
-def sixblock_witness(m: int, y1: int, y2: int) -> tuple[Coloring, Matching]:
-    """Six-block coloring and matching realizing ``sixblock_crossing_count``.
+def sixblock_witness(
+    m: int, y1: int, y2: int
+) -> tuple[Coloring, Matching, int]:
+    """Six-block coloring, matching and its checked count.
 
     The coloring has n = 4m + 2 + y1 + y2 and block sizes
     (2m+1+y1, 2m+1, y2, y1, 2m+1, 2m+1+y2), colors alternating by block.
@@ -338,8 +337,10 @@ def sixblock_witness(m: int, y1: int, y2: int) -> tuple[Coloring, Matching]:
     coloring = _runs_coloring(sixblock_sizes(m, y1, y2))
     blocks = block_profile(coloring).block_positions()
     matching = Matching.from_pairs(_sixblock_joins(blocks, m, y1, y2))
-    _checked("6-block", coloring, matching, sixblock_crossing_count(m, y1, y2))
-    return coloring, matching
+    count = _checked(
+        "6-block", coloring, matching, sixblock_crossing_count(m, y1, y2)
+    )
+    return coloring, matching, count
 
 
 def _sixblock_shape(sizes) -> tuple[int, int, int] | None:

@@ -18,6 +18,7 @@ group action from it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby, islice
@@ -70,6 +71,14 @@ class Coloring:
 
     def __str__(self) -> str:
         return self.colors
+
+
+def _from_runs(runs) -> Coloring:
+    """The coloring of (text, count) runs, each text repeated count times;
+    one of over ``sys.maxsize`` points is refused before it is built."""
+    if sum(len(text) * count for text, count in runs) > sys.maxsize:
+        raise OutOfRange(f"coloring has more than {sys.maxsize} points")
+    return Coloring("".join(text * count for text, count in runs))
 
 
 def edge(a: int, b: int) -> tuple[int, int]:
@@ -303,12 +312,6 @@ class BlockProfile:
             out.append(tuple((at + i) % self.size for i in range(length)))
             at += length
         return tuple(out)
-
-    def to_coloring(self) -> Coloring:
-        """The unique coloring with these runs at these positions."""
-        text = "".join(color * length for color, length in self.runs)
-        back = self.size - self.start
-        return Coloring(text[back:] + text[:back])
 
 
 def block_profile(coloring: Coloring) -> BlockProfile:

@@ -474,7 +474,7 @@ def _lemma3_candidates(coloring):
         yield _cut_pair_join(coloring, groups)
     blocks = block_profile(coloring)
     if len(blocks.runs) == 4:
-        matching, _ = fourblock_max_matching(blocks)
+        matching, _ = fourblock_max_matching(coloring)
         yield matching.sorted_edges
     fitted = _sixblock_frame(blocks)
     if fitted is not None:

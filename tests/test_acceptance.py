@@ -63,7 +63,7 @@ def test_criterion_02_fourblock_profiles_are_maxima():
     start = time.time()
     for colors in ("RRRRBBBBRRRRBBBB", "RRRRRBBBBRRRBBBB"):
         col = Coloring(colors)
-        _, count = fourblock_max_matching(block_profile(col))
+        _, count = fourblock_max_matching(col)
         assert count == 20
         exhaustive, _ = max_crossing(col)
         assert exhaustive == 20
@@ -106,7 +106,7 @@ def test_criterion_04_seven_point_spectra_cover_low_range():
 def test_criterion_05_alternating_maxima_and_edge_degrees():
     start = time.time()
     for n in (2, 4, 6, 8):
-        col, matching = alternating_max_matching(n)
+        col, matching, _ = alternating_max_matching(n)
         count = crossing_number(col, matching)
         assert count == comb2(n) - n // 2
         value, _ = max_crossing(col)
@@ -197,7 +197,7 @@ def test_criterion_09_sixblock_closed_form():
     for m in range(6):
         for y1 in range(1, 5):
             for y2 in range(1, 5):
-                col, matching = sixblock_witness(m, y1, y2)
+                col, matching, _ = sixblock_witness(m, y1, y2)
                 assert crossing_number(col, matching) == \
                     sixblock_crossing_count(m, y1, y2)
         assert sixblock_crossing_count(m, 1, 1) == 6 * m * m + 10 * m + 5

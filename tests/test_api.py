@@ -28,6 +28,7 @@ GONE_MEMBERS = (
     ("Symmetry", "apply_to_matching"),
     ("Symmetry", "inverse"),
     ("BlockProfile", "s"),
+    ("BlockProfile", "to_coloring"),
 )
 
 

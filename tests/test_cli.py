@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import convexmatch
-from convexmatch import Coloring, Matching, cli
+from convexmatch import Coloring, Matching, cli, core
 from convexmatch.cli import (
     _replace,
     atlas,
@@ -21,6 +21,7 @@ from convexmatch.cli import (
     render_svg,
 )
 from convexmatch.errors import InvalidMatching, ParseError, brief
+from test_demos import readme_commands
 
 
 def package_env() -> dict:
@@ -352,6 +353,72 @@ def test_construct_plane(capsys):
     assert code == 0
     assert report["result"]["count"] == 0
     assert report["result"]["matching"]["text"] == "0-3,1-2"
+
+
+# The README's construct and render commands: (argv, echoed input,
+# result), the matching given by its text.
+GOLDEN = (
+    ("construct alternating --n 8", {"kind": "alternating", "n": 8},
+     {"coloring": "RB" * 8, "count": 24, "kind": "alternating", "n": 8,
+      "matching": "0-9,1-8,2-11,3-10,4-13,5-12,6-15,7-14"}),
+    ("construct fourblock --blocks 4,4,4,4",
+     {"kind": "fourblock", "blocks": "4,4,4,4"},
+     {"coloring": "RRRRBBBBRRRRBBBB", "count": 20, "kind": "fourblock",
+      "n": 8, "matching": "0-6,1-7,2-12,3-13,4-10,5-11,8-14,9-15"}),
+    ("construct sixblock --blocks 2,1,1,1,1,2",
+     {"kind": "sixblock", "blocks": "2,1,1,1,1,2"},
+     {"coloring": "RRBRBRBB", "count": 5, "kind": "sixblock", "n": 4,
+      "matching": "0-4,1-6,2-5,3-7"}),
+    ("construct witness --coloring RRBRBRBRBB",
+     {"kind": "witness", "coloring": "RRBRBRBRBB"},
+     {"bound": 7, "coloring": "RRBRBRBRBB", "count": 9, "kind": "witness",
+      "n": 5, "matching": "0-4,1-6,2-7,3-8,5-9"}),
+    ("construct plane --coloring RRBB", {"kind": "plane", "coloring": "RRBB"},
+     {"coloring": "RRBB", "count": 0, "kind": "plane", "n": 2,
+      "matching": "0-3,1-2"}),
+    ("render --coloring RRBB --matching 0-2,1-3 --out m.svg",
+     {"coloring": "RRBB", "matching": "0-2,1-3", "out": "m.svg"},
+     {"coloring": "RRBB", "count": 1, "out": "m.svg"}),
+)
+
+
+def test_readme_construct_and_render_reports(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert [argv.split() for argv, _, _ in GOLDEN] == [
+        argv for argv in readme_commands()
+        if argv[0] in ("construct", "render")]
+    for argv, echoed, result in GOLDEN:
+        code, report = run_json(capsys, argv.split())
+        assert code == 0, argv
+        del report["elapsed_ms"]
+        if "matching" in result:
+            text = result["matching"]
+            result = {**result, "matching": {"text": text, "edges": [
+                [int(p) for p in e.split("-")] for e in text.split(",")]}}
+        assert report == {
+            "command": argv.split()[0], "input": echoed, "result": result,
+            "schema": 1, "version": convexmatch.__version__,
+        }, argv
+
+
+def test_constructions_and_render_count_once(tmp_path, monkeypatch, capsys):
+    # each construction checks its count with one validating
+    # crossing_number, and the report reads that count; render reads the
+    # count that render_svg validated
+    calls = []
+    validate = core.validate
+
+    def counted(coloring, matching):
+        calls.append(coloring.colors)
+        return validate(coloring, matching)
+
+    monkeypatch.setattr(core, "validate", counted)
+    monkeypatch.chdir(tmp_path)
+    for argv, _, _ in GOLDEN:
+        calls.clear()
+        assert main(argv.split()) == 0, argv
+        assert len(calls) == 1, argv
+    capsys.readouterr()
 
 
 def test_compose_command(capsys):

@@ -26,6 +26,7 @@ from convexmatch import (
     plane_matching,
     sixblock_crossing_count,
     sixblock_witness,
+    validate,
 )
 from convexmatch.construct import _sixblock_shape, sixblock_sizes
 from convexmatch.core import (
@@ -45,19 +46,36 @@ def comb2(n):
     return n * (n - 1) // 2
 
 
+def assert_checked(coloring, matching, count):
+    """A construction's returned count is its valid matching's count by
+    the oracle's pairwise interleaving test."""
+    assert validate(coloring, matching) == []
+    assert count == oracle.count_crossings(matching.sorted_edges)
+
+
 # ---------------------------------------------------------------- plane
 
 
 def test_plane_matching_frozen():
-    assert plane_matching(Coloring("RRBB")).sorted_edges == ((0, 3), (1, 2))
+    m, count = plane_matching(Coloring("RRBB"))
+    assert (m.sorted_edges, count) == (((0, 3), (1, 2)), 0)
 
 
 def test_plane_matching_is_crossing_free():
     for n in range(1, 6):
         for s in oracle.colorings(n):
             col = Coloring(s)
-            m = plane_matching(col)
-            assert crossing_number(col, m) == 0
+            m, count = plane_matching(col)
+            assert crossing_number(col, m) == count == 0
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        colors = [RED] * n + [BLUE] * n
+        rng.shuffle(colors)
+        col = Coloring("".join(colors))
+        m, count = plane_matching(col)
+        assert_checked(col, m, count)
+        assert count == 0
 
 
 # ---------------------------------------------------------- alternating
@@ -69,34 +87,37 @@ def test_alternating_coloring():
 
 def test_alternating_max_matching_counts():
     # even n reaches C(n,2) - n/2, the most any coloring allows
-    for n in (2, 4, 6, 8):
-        col, m = alternating_max_matching(n)
+    for n in range(2, 13, 2):
+        col, m, count = alternating_max_matching(n)
         assert str(col) == "RB" * n
-        assert crossing_number(col, m) == comb2(n) - n // 2
+        assert_checked(col, m, count)
+        assert count == comb2(n) - n // 2
 
 
 def test_alternating_max_matching_frozen_n4():
-    _, m = alternating_max_matching(4)
+    _, m, _ = alternating_max_matching(4)
     assert m.sorted_edges == ((0, 5), (1, 4), (2, 7), (3, 6))
 
 
 def test_alternating_max_matching_is_the_maximum():
     for n in (2, 4):
-        col, m = alternating_max_matching(n)
-        assert crossing_number(col, m) == oracle.maximum(str(col))
+        col, _, count = alternating_max_matching(n)
+        assert count == oracle.maximum(str(col))
 
 
 def test_alternating_miscount_raises_alarm(monkeypatch):
-    # the alternating, 4-block and 6-block constructions share one
-    # recount, which reads crossing_number through the module
+    # the plane, alternating, 4-block and 6-block constructions share
+    # one recount, which reads crossing_number through the module
     import convexmatch.construct as construct
 
     monkeypatch.setattr(construct, "crossing_number",
                         lambda coloring, matching: comb2(coloring.n) - 1)
     builds = (
+        (lambda: plane_matching(Coloring("RRRBBB")),
+         "plane construction counted 2, expected 0"),
         (lambda: alternating_max_matching(4),
          "alternating construction counted 5, expected 4"),
-        (lambda: fourblock_max_matching(block_profile(Coloring("RRRBBRBB"))),
+        (lambda: fourblock_max_matching(Coloring("RRRBBRBB")),
          "4-block construction counted 5, expected 4"),
         (lambda: sixblock_witness(1, 1, 1),
          "6-block construction counted 27, expected 21"),
@@ -205,7 +226,7 @@ def test_balanced_fourblock_coloring():
 def test_fourblock_frozen_profiles():
     for colors in ("RRRRBBBBRRRRBBBB", "RRRRRBBBBRRRBBBB"):
         col = Coloring(colors)
-        matching, count = fourblock_max_matching(block_profile(col))
+        matching, count = fourblock_max_matching(col)
         assert count == 20
         assert crossing_number(col, matching) == 20
 
@@ -214,24 +235,25 @@ def test_fourblock_matches_h_complement():
     seen = 0
     for n in range(2, 8):
         for s in oracle.colorings(n):
-            profile = block_profile(Coloring(s))
+            col = Coloring(s)
+            profile = block_profile(col)
             if len(profile.runs) != 4:
                 continue
-            matching, count = fourblock_max_matching(profile)
+            matching, count = fourblock_max_matching(col)
             r1 = min(length for color, length in profile.runs if color == RED)
             b1 = min(length for color, length in profile.runs if color == BLUE)
             assert count == comb2(n) - h_value(n, r1, b1).h_value
-            assert crossing_number(Coloring(s), matching) == count
+            assert_checked(col, matching, count)
             seen += 1
     assert seen > 100
 
 
 def test_fourblock_is_the_exhaustive_maximum_small():
     for s in ("RRBBRB".replace(" ", ""), "RRRBBB", "RRBRBB", "RRRBBBRB"):
-        profile = block_profile(Coloring(s))
-        if len(profile.runs) != 4:
+        col = Coloring(s)
+        if len(block_profile(col).runs) != 4:
             continue
-        _, count = fourblock_max_matching(profile)
+        _, count = fourblock_max_matching(col)
         assert count == oracle.maximum(s)
 
 
@@ -240,15 +262,14 @@ def test_fourblock_frame_normalization_is_symmetry_proof():
     base = Coloring("RRRRRBBBBRRRBBBB")
     for sym in all_symmetries(base.size):
         image = sym.apply(base)
-        _, count = fourblock_max_matching(block_profile(image))
+        _, count = fourblock_max_matching(image)
         assert count == 20
 
 
 def test_fourblock_rejects_other_shapes():
-    with pytest.raises(NotFourBlock):
-        fourblock_max_matching(block_profile(Coloring("RRBB")))
-    with pytest.raises(NotFourBlock):
-        fourblock_max_matching(block_profile(Coloring("RBRBRB")))
+    for colors in ("RRBB", "RBRBRB", "RRBRBRBB"):
+        with pytest.raises(NotFourBlock):
+            fourblock_max_matching(Coloring(colors))
 
 
 # ------------------------------------------------------------- six-block
@@ -256,20 +277,18 @@ def test_fourblock_rejects_other_shapes():
 
 def test_sixblock_sizes_and_coloring():
     assert sixblock_sizes(0, 1, 1) == (2, 1, 1, 1, 1, 2)
-    col, matching = sixblock_witness(0, 1, 1)
+    col, matching, count = sixblock_witness(0, 1, 1)
     assert str(col) == "RRBRBRBB"
     assert matching.sorted_edges == ((0, 4), (1, 6), (2, 5), (3, 7))
-    assert crossing_number(col, matching) == 5
+    assert crossing_number(col, matching) == count == 5
     assert sixblock_crossing_count(0, 1, 1) == 5
 
 
 def test_sixblock_count_matches_direct_recount():
-    for m in range(3):
-        for y1 in range(1, 3):
-            for y2 in range(1, 3):
-                col, matching = sixblock_witness(m, y1, y2)
-                assert crossing_number(col, matching) == \
-                    sixblock_crossing_count(m, y1, y2)
+    for m, y1, y2 in product(range(4), range(1, 4), range(1, 4)):
+        col, matching, count = sixblock_witness(m, y1, y2)
+        assert_checked(col, matching, count)
+        assert count == sixblock_crossing_count(m, y1, y2)
 
 
 def test_sixblock_instance_forms():

@@ -104,7 +104,7 @@ def test_crossing_count_matches_oracle():
         assert _crossing_count(nested, size) == 0
         colors = ["R"] * n + ["B"] * n
         rng.shuffle(colors)
-        plane = plane_matching(Coloring("".join(colors))).sorted_edges
+        plane = plane_matching(Coloring("".join(colors)))[0].sorted_edges
         assert _crossing_count(plane, size) == 0
 
 
@@ -169,7 +169,7 @@ def _families(n, rng):
     yield "nested", [(i, size - 1 - i) for i in range(n)], 0
     colors = [RED] * n + [BLUE] * n
     rng.shuffle(colors)
-    plane = plane_matching(Coloring("".join(colors))).sorted_edges
+    plane = plane_matching(Coloring("".join(colors)))[0].sorted_edges
     yield "plane", plane, 0
     yield "random", _random_perfect_matching(rng, n), None
 
@@ -320,6 +320,13 @@ def test_block_profile():
 
 
 def test_block_profile_roundtrip():
+    # each run's color, laid on its block's positions, spells the coloring
     for n in range(1, 5):
         for s in oracle.colorings(n):
-            assert str(block_profile(Coloring(s)).to_coloring()) == s
+            profile = block_profile(Coloring(s))
+            back = [""] * len(s)
+            for (color, _), block in zip(profile.runs,
+                                         profile.block_positions()):
+                for p in block:
+                    back[p] = color
+            assert "".join(back) == s

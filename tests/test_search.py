@@ -322,8 +322,7 @@ def test_sweep_alarms_without_witnesses(monkeypatch):
     # survivor generator does not read the witness
     bound = balanced_fourblock_bound(6).value
     survivors = search._screen_survivors(6, bound)
-    monkeypatch.setattr(search, "lemma3_witness", lambda coloring: (
-        plane_matching(coloring), 0))
+    monkeypatch.setattr(search, "lemma3_witness", plane_matching)
     for jobs in (1, 2):
         with pytest.raises(SweepMismatch, match="counts 0, not the "
                            f"closed-form value {bound}"):
