@@ -495,7 +495,7 @@ def _cmd_sweep(ns) -> tuple[dict, int]:
     return {
         "n": ns.n,
         "value": value,
-        "bound": balanced_fourblock_bound(ns.n).value,
+        "bound": value,
         "minimizers": [c.colors for c in minimizers],
         "settled": settled,
     }, 0

@@ -15,13 +15,15 @@ n mod 4; the constructions below realize the matchings behind it:
 * ``lemma3_witness``: for every coloring, a matching whose crossing count
   is at least ``balanced_fourblock_bound(n)``, certifying that no
   coloring can force fewer crossings than the balanced 4-block one.
-  It scores the n half-turn joins and stops early at C(n,2) crossings;
-  the 4- and 6-block constructions never count more than the best join
-  (proved in its docstring).
+  It scores the n half-turn joins and stops early at C(n,2) crossings.
 
 A half-turn join (``_half_join``) joins the half [c, c+n) to its
-antipode.  It stands for every balanced antipodal cut pair (c1, c2)
-with c1 = c: the join of that pair's arcs has exactly
+antipode.  Every maximum construction is one: the alternating one is
+the join at c = 0, the 6-block one the join at c = m + y1, and the
+4-block one the join at a cut read off its frame and ``h_value``'s
+split (each docstring says why), so none can beat the best half-turn
+join.  It stands for every balanced antipodal cut pair (c1, c2) with
+c1 = c: the join of that pair's arcs has exactly
 C(n,2) - sum_{t<n} |S(t) - S(c1)| crossings, where S is the
 core-surplus walk (S(0) = 0, and step t adds +1 when positions t and
 t+n are both red, -1 when both are blue).  The count does not depend on
@@ -40,9 +42,9 @@ once, and a count other than the closed form (0 for the plane one)
 raises a falsification alarm.  ``lemma3_witness`` scores its joins with
 the unvalidated ``_crossing_count``, the scan that ``crossing_number``
 runs after validating, and checks the winner against the bound.  The
-constructions share one arc join (``_join``, index by index), one scan
-of block frames (``_frames``) and one builder from run sizes to a
-coloring (``_runs_coloring``).
+constructions share one join (``_half_join``), one scan of block frames
+(``_frames``) and one builder from run sizes to a coloring
+(``_runs_coloring``).
 """
 
 from __future__ import annotations
@@ -71,29 +73,47 @@ from .errors import (
 )
 
 
-def _join(arc_pairs) -> list[tuple[int, int]]:
-    """Join each pair of equal-sized arcs index by index.
+def _half_join(coloring: Coloring, c: int) -> list[tuple[int, int]]:
+    """Join the half [c, c+n) to its antipode so same-colored bundles
+    cross: the half's red points, in order, to the antipodal half's blue
+    points, then its blue points to the antipodal red points.
 
-    Joining the i-th point of one arc to the i-th point of the other
-    (both read in the same rotational direction) makes the edges of one
-    join pairwise crossing whenever the arcs are disjoint.
+    Index by index, so the edges of one bundle pairwise cross.  Every
+    maximum construction of this module is this join at some cut
+    0 <= c < n.  The joins at c and c + n are the same matching, and so
+    is the join read in the other rotational direction: each bundle
+    pairs the i-th point of one half with the i-th of the other, from
+    either end.
     """
-    return [pair for xs, ys in arc_pairs for pair in zip(xs, ys)]
+    colors = coloring.colors
+    n = coloring.n
+    size = 2 * n
+    half = range(c, c + n)
+    far = [(p + n) % size for p in half]
+    return [
+        pair
+        for color in (RED, BLUE)
+        for pair in zip(
+            [p for p in half if colors[p] == color],
+            [p for p in far if colors[p] != color],
+        )
+    ]
 
 
 def _frames(profile: BlockProfile):
-    """Every relabeling of the runs: (lead run's color, blocks).
+    """Every relabeling of the runs: (lead run's color, step, blocks).
 
-    Starts at each run in turn, forward and then reflected.  The blocks
-    are position tuples in a consistent rotational direction (reversed
-    tuples for the reflected frames), so joins can speak of the first or
-    last points of a block without caring about the original orientation.
+    Starts at each run in turn, forward (step 1) and then reflected
+    (step -1).  The blocks are position tuples read in the step's
+    rotational direction (reversed tuples for the reflected frames), so
+    a construction can speak of the first or last points of a block
+    without caring about the original orientation.
     """
     blocks = profile.block_positions()
     k = len(blocks)
     for j, (color, _) in enumerate(profile.runs):
-        yield color, [blocks[(j + t) % k] for t in range(k)]
-        yield color, [blocks[(j - t) % k][::-1] for t in range(k)]
+        yield color, 1, [blocks[(j + t) % k] for t in range(k)]
+        yield color, -1, [blocks[(j - t) % k][::-1] for t in range(k)]
 
 
 def _runs_coloring(sizes) -> Coloring:
@@ -147,19 +167,17 @@ def alternating_coloring(n: int) -> Coloring:
 def alternating_max_matching(n: int) -> tuple[Coloring, Matching, int]:
     """Alternating coloring, matching and its checked count C(n,2) - n/2.
 
-    Even positions are matched n+1 steps ahead, odd positions n-1 steps
-    ahead.  Each edge then crosses all but one of the others, which is the
-    most the alternating coloring admits, and no coloring admits more
-    than C(n,2) overall.  Requires even n.
+    The half-turn join at c = 0.  With n even, the reds of [0, n) are
+    its even positions and the blues of [n, 2n) are n+1, n+3, ..., so
+    red i meets blue i+n+1 and blue i meets red i+n-1.  Each edge then
+    crosses all but one of the others, which is the most the alternating
+    coloring admits, and no coloring admits more than C(n,2) overall.
+    Requires even n.
     """
     if n < 2 or n % 2:
         raise OddN(f"construction needs even n >= 2, got {brief(n)}")
     coloring = alternating_coloring(n)
-    pairs = []
-    for i in range(n):
-        step = n + 1 if i % 2 == 0 else n - 1
-        pairs.append((i, (i + step) % (2 * n)))
-    matching = Matching.from_pairs(pairs)
+    matching = Matching.from_pairs(_half_join(coloring, 0))
     count = _checked("alternating", coloring, matching, comb(n, 2) - n // 2)
     return coloring, matching, count
 
@@ -228,28 +246,27 @@ def h_value(n: int, r1: int, b1: int) -> FourBlockPlan:
 def fourblock_max_matching(coloring: Coloring) -> tuple[Matching, int]:
     """Maximum-crossing matching on four blocks, and its checked count.
 
-    The construction pairs the four blocks through four index-by-index
-    arc joins governed by the split ``x`` from ``h_value``; the crossing
-    count is exactly C(n,2) minus the plan's minimum non-crossing count.
+    The half-turn join that starts at a1[x], for the frame's blocks
+    a1, a2, a3, a4 (r1 = |a1|, b1 = |a2|) and the split ``x`` from
+    ``h_value``; the crossing count is exactly C(n,2) minus the plan's
+    minimum non-crossing count.  On a forward frame that half holds
+    a1[x:], a2 and a3[:n-r1-b1+x].
+    Its reds meet a4 in order; a2 meets a3's last b1-x reds and then
+    a1[:x].  A reflected frame reads the same half in the other
+    direction, so its clockwise start is a1[0] - x + 1.
     """
     profile = block_profile(coloring)
     if len(profile.runs) != 4:
         raise NotFourBlock(f"{len(profile.runs)} runs, need exactly 4")
     n = coloring.n
     # some red-led frame has both lead blocks <= n/2
-    a1, a2, a3, a4 = next(
-        blocks for color, blocks in _frames(profile)
+    step, (a1, a2, _, _) = next(
+        (step, blocks) for color, step, blocks in _frames(profile)
         if color == RED and 2 * len(blocks[0]) <= n and 2 * len(blocks[1]) <= n
     )
-    r1, b1, r2 = len(a1), len(a2), len(a3)
-    plan = h_value(n, r1, b1)
-    x = plan.x
-    matching = Matching.from_pairs(_join((
-        (a1[:x], a2[b1 - x:]),
-        (a1[x:], a4[:r1 - x]),
-        (a2[:b1 - x], a3[r2 - (b1 - x):]),
-        (a3[:n - r1 - b1 + x], a4[r1 - x:]),
-    )))
+    plan = h_value(n, len(a1), len(a2))
+    c = a1[0] + plan.x if step > 0 else a1[0] - plan.x + 1
+    matching = Matching.from_pairs(_half_join(coloring, c % n))
     count = _checked("4-block", coloring, matching, comb(n, 2) - plan.h_value)
     return matching, count
 
@@ -282,21 +299,6 @@ def balanced_fourblock_bound(n: int) -> BoundBreakdown:
     return BoundBreakdown(n, m, residue, value)
 
 
-def _sixblock_joins(blocks, m: int, y1: int, y2: int):
-    """Arc joins of the six-block construction, given the six blocks in
-    frame order (alternating colors, sizes 2m+1+y1, 2m+1, y2, y1, 2m+1,
-    2m+1+y2)."""
-    b0, b1, b2, b3, b4, b5 = blocks
-    return _join((
-        (b0[:m], b1[m + 1:]),             # lead block into its neighbor
-        (b0[m:m + y1], b3),               # middle of lead block across
-        (b0[m + y1:], b5[:m + 1]),        # tail of lead block to far side
-        (b2, b5[m + 1:m + 1 + y2]),
-        (b4[:m], b5[m + 1 + y2:]),
-        (b1[:m + 1], b4[m:]),
-    ))
-
-
 def sixblock_sizes(m: int, y1: int, y2: int) -> tuple[int, ...]:
     return (2 * m + 1 + y1, 2 * m + 1, y2, y1, 2 * m + 1, 2 * m + 1 + y2)
 
@@ -327,16 +329,18 @@ def sixblock_witness(
 ) -> tuple[Coloring, Matching, int]:
     """Six-block coloring, matching and its checked count.
 
-    The coloring has n = 4m + 2 + y1 + y2 and block sizes
-    (2m+1+y1, 2m+1, y2, y1, 2m+1, 2m+1+y2), colors alternating by block.
+    The coloring has n = 4m + 2 + y1 + y2 and blocks b0, ..., b5 of
+    sizes (2m+1+y1, 2m+1, y2, y1, 2m+1, 2m+1+y2), colors alternating by
+    block from red at position 0.  The matching is the half-turn join at
+    c = m + y1: that half holds b0[m+y1:], b1, b2, b3 and b4[:m].  Its
+    reds meet b5 in order; its blues meet b4[m:] and then b0[:m+y1].
     """
     if m < 0:
         raise OutOfRange(f"need m >= 0, got {brief(m)}")
     if y1 < 1 or y2 < 1:
         raise OutOfRange(f"need y1, y2 >= 1, got {brief(y1)}, {brief(y2)}")
     coloring = _runs_coloring(sixblock_sizes(m, y1, y2))
-    blocks = block_profile(coloring).block_positions()
-    matching = Matching.from_pairs(_sixblock_joins(blocks, m, y1, y2))
+    matching = Matching.from_pairs(_half_join(coloring, m + y1))
     count = _checked(
         "6-block", coloring, matching, sixblock_crossing_count(m, y1, y2)
     )
@@ -348,24 +352,6 @@ def _sixblock_shape(sizes) -> tuple[int, int, int] | None:
     given, ``sixblock_sizes(m, y1, y2)``; else None."""
     shape = ((sizes[1] - 1) // 2, sizes[3], sizes[2])
     return shape if sixblock_sizes(*shape) == tuple(sizes) else None
-
-
-def _half_join(coloring: Coloring, c: int) -> list[tuple[int, int]]:
-    """Join the half [c, c+n) to its antipode so same-colored bundles
-    cross: the half's red points, in order, to the antipodal half's blue
-    points, then its blue points to the antipodal red points."""
-    colors = coloring.colors
-    n = coloring.n
-    size = 2 * n
-    half = range(c, c + n)
-    far = [(p + n) % size for p in half]
-    return _join(
-        (
-            [p for p in half if colors[p] == color],
-            [p for p in far if colors[p] != color],
-        )
-        for color in (RED, BLUE)
-    )
 
 
 def lemma3_witness(coloring: Coloring) -> tuple[Matching, int]:
@@ -388,10 +374,11 @@ def lemma3_witness(coloring: Coloring) -> tuple[Matching, int]:
     which runs the same scan after validating, and a count below
     ``balanced_fourblock_bound`` raises a falsification alarm.
 
-    The best join has C(n,2) - min_c D(S(c)) crossings, S being the
-    core-surplus walk and D(m) = sum_{t<n} |S(t) - m|.  The 4- and
-    6-block constructions count at most that, and after it they could
-    only tie, so they are not scored:
+    Every maximum construction of this module is a half-turn join, so
+    none can beat the best one, and the witness scores nothing else.  The
+    join at c has C(n,2) - D(S(c)) crossings, S being the core-surplus
+    walk and D(m) = sum_{t<n} |S(t) - m|, and on block colorings D
+    gives the constructions' closed forms:
 
     * 4 blocks, normalized frame R^r1 B^b1 R^(n-r1) B^(n-b1) with
       r1, b1 <= n/2; a = min(r1, b1), b = max(r1, b1), s = r1 + b1.

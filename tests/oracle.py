@@ -3,12 +3,13 @@
 Nothing here imports the package under test, apart from the exceptions
 ``reference_dfs`` and ``reference_windows`` raise, the ``Coloring``
 that ``reference_colorings`` builds, the ``_images`` scan that
-``is_canonical`` reads, the arc joins, constructions, validating
-recount and alarm that ``reference_lemma3_witness`` and ``_half_turn``
-build, check and raise, and the orbit enumeration that
-``reference_sweep`` walks.  Joins are scored with
-``reference_crossing_count``, the package's Fenwick-tree counter
-before its segmented bitsets, never with the counter under test.
+``is_canonical`` reads, the half-turn join, block frames, 4-block
+plan, six-block shape, validating recount and alarm that the joins
+below, ``reference_lemma3_witness`` and ``_half_turn`` build on, check
+and raise, and the orbit enumeration that ``reference_sweep`` walks.
+Joins are scored with ``reference_crossing_count``, the package's
+Fenwick-tree counter before its segmented bitsets, never with the
+counter under test.
 Matchings are enumerated through permutations, crossings through
 pairwise interleaving, and symmetry through string rotation, so any
 agreement with the library is evidence rather than tautology.  Sizes
@@ -22,13 +23,18 @@ starts from, and ``burnside_orbits`` counts the orbits independently.
 ``reference_windows`` is the window scan that restarts at 0 after every
 cut, and ``reference_tables`` the candidate-edge tables built by
 bisection; the library's sliding scan and rank-indexed tables must give
-the same output.  ``reference_lemma3_witness`` is the Lemma-3 witness
-that scanned every balanced cut pair (``_balanced_cut_partitions``,
-each joined by the four-arc ``_cut_pair_join``) and then scored the 4-
-and 6-block candidates.  The library scores only the n half-turn joins
-(c, c) and must give the same matching and count: the count of cut
-pair (c1, c2) does not depend on c2, and (c1, c1) comes before every
-(c1, c2), so the first-best cut pair is always a half-turn.
+the same output.  ``_join`` is the arc join the constructions used
+before each became a half-turn join at a closed-form cut, and
+``reference_alternating_join``, ``reference_fourblock_join`` and
+``_sixblock_joins`` are their layouts on it; each construction must
+give the same matching.  ``reference_lemma3_witness`` is the Lemma-3
+witness that scanned every balanced cut pair
+(``_balanced_cut_partitions``, each joined by the four-arc
+``_cut_pair_join``) and then scored the 4- and 6-block candidates.
+The library scores only the n half-turn joins (c, c) and must give the
+same matching and count: the count of cut pair (c1, c2) does not
+depend on c2, and (c1, c1) comes before every (c1, c2), so the
+first-best cut pair is always a half-turn.
 ``_half_turn`` is that join picked in closed form from the medians of
 the core-surplus walk ``_core_surplus``, with its count; the sweep's
 survivor generator rests on the same count.
@@ -49,11 +55,9 @@ from types import SimpleNamespace
 from convexmatch.construct import (
     _frames,
     _half_join,
-    _join,
-    _sixblock_joins,
     _sixblock_shape,
     balanced_fourblock_bound,
-    fourblock_max_matching,
+    h_value,
 )
 from convexmatch.core import (
     BLUE,
@@ -367,6 +371,64 @@ def reference_tables(coloring):
     return self
 
 
+def _join(arc_pairs) -> list[tuple[int, int]]:
+    """Join each pair of equal-sized arcs index by index.
+
+    Joining the i-th point of one arc to the i-th point of the other
+    (both read in the same rotational direction) makes the edges of one
+    join pairwise crossing whenever the arcs are disjoint.
+    """
+    return [pair for xs, ys in arc_pairs for pair in zip(xs, ys)]
+
+
+def reference_alternating_join(n):
+    """``construct.alternating_max_matching``'s layout before the
+    half-turn join, verbatim apart from returning the pairs: even
+    positions are matched n+1 steps ahead, odd positions n-1 steps
+    ahead."""
+    pairs = []
+    for i in range(n):
+        step = n + 1 if i % 2 == 0 else n - 1
+        pairs.append((i, (i + step) % (2 * n)))
+    return pairs
+
+
+def reference_fourblock_join(coloring):
+    """``construct.fourblock_max_matching``'s layout before the
+    half-turn join, verbatim apart from returning the pairs: four
+    index-by-index arc joins on the first red-led frame with both lead
+    blocks <= n/2, governed by the split ``x`` from ``h_value``."""
+    profile = block_profile(coloring)
+    n = coloring.n
+    a1, a2, a3, a4 = next(
+        blocks for color, _, blocks in _frames(profile)
+        if color == RED and 2 * len(blocks[0]) <= n and 2 * len(blocks[1]) <= n
+    )
+    r1, b1, r2 = len(a1), len(a2), len(a3)
+    x = h_value(n, r1, b1).x
+    return _join((
+        (a1[:x], a2[b1 - x:]),
+        (a1[x:], a4[:r1 - x]),
+        (a2[:b1 - x], a3[r2 - (b1 - x):]),
+        (a3[:n - r1 - b1 + x], a4[r1 - x:]),
+    ))
+
+
+def _sixblock_joins(blocks, m: int, y1: int, y2: int):
+    """Arc joins of the six-block construction, given the six blocks in
+    frame order (alternating colors, sizes 2m+1+y1, 2m+1, y2, y1, 2m+1,
+    2m+1+y2)."""
+    b0, b1, b2, b3, b4, b5 = blocks
+    return _join((
+        (b0[:m], b1[m + 1:]),             # lead block into its neighbor
+        (b0[m:m + y1], b3),               # middle of lead block across
+        (b0[m + y1:], b5[:m + 1]),        # tail of lead block to far side
+        (b2, b5[m + 1:m + 1 + y2]),
+        (b4[:m], b5[m + 1 + y2:]),
+        (b1[:m + 1], b4[m:]),
+    ))
+
+
 def _cut_pair_join(coloring: Coloring, arcs):
     """Join each arc of a cut pair to its antipode so same-colored
     bundles cross."""
@@ -461,7 +523,7 @@ def _sixblock_frame(profile):
     """
     if len(profile.runs) != 6:
         return None
-    for _, blocks in _frames(profile):
+    for _, _, blocks in _frames(profile):
         shape = _sixblock_shape([len(b) for b in blocks])
         if shape is not None:
             return (blocks, *shape)
@@ -474,8 +536,7 @@ def _lemma3_candidates(coloring):
         yield _cut_pair_join(coloring, groups)
     blocks = block_profile(coloring)
     if len(blocks.runs) == 4:
-        matching, _ = fourblock_max_matching(coloring)
-        yield matching.sorted_edges
+        yield reference_fourblock_join(coloring)
     fitted = _sixblock_frame(blocks)
     if fitted is not None:
         frame, m, y1, y2 = fitted

@@ -17,7 +17,8 @@ GONE = {
                               "_group_partition_matching",
                               "_lemma3_candidates", "_sixblock_frame",
                               "_balanced_cut_partitions", "_cut_pair_join",
-                              "_half_turn", "_core_surplus"),
+                              "_half_turn", "_core_surplus", "_join",
+                              "_sixblock_joins"),
     "convexmatch.search": ("DEFAULT_SWEEP_LIMIT", "_LIMITS", "_max_search",
                            "_first_hits"),
     "convexmatch.errors": ("EmptyAntipodalCore", "NoBalancedCuts"),

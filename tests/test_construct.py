@@ -602,3 +602,47 @@ def test_sixblock_walk_deviation_closed_form():
                 2 * big_m ** 2 + (y1 + y2 - 2 * o) * big_m + o * o
         assert comb2(len(walk)) - sum(abs(s - m) for s in walk) == \
             sixblock_crossing_count(m, y1, y2)
+
+
+# ------------------------------------------ constructions as half-turn joins
+
+
+def assert_same_layout(coloring, matching, count, pairs):
+    """A construction's matching is its reference arc layout, edge for edge,
+    and its count is that layout's by the oracle's Fenwick-tree counter."""
+    assert matching.sorted_edges == \
+        Matching.from_pairs(pairs).sorted_edges, coloring
+    assert count == \
+        oracle.reference_crossing_count(pairs, coloring.size), coloring
+
+
+def test_alternating_matches_reference_layout():
+    # the half-turn join at 0 is the oracle's step loop
+    for n in range(2, 41, 2):
+        col, matching, count = alternating_max_matching(n)
+        assert_same_layout(col, matching, count,
+                           oracle.reference_alternating_join(n))
+
+
+def test_fourblock_matches_reference_layout():
+    # the half-turn join at a1[x], on a forward or a reflected frame, is
+    # the oracle's four-arc join on every 4-block coloring with n <= 10
+    fourblock = set()
+    for n in range(2, 11):
+        for r1, b1 in product(range(1, n), repeat=2):
+            fourblock |= turns(block_colors((r1, b1, n - r1, n - b1)))
+    assert len(fourblock) == sum(n * (n - 1) ** 2 for n in range(2, 11))
+    for colors in sorted(fourblock):
+        col = Coloring(colors)
+        matching, count = fourblock_max_matching(col)
+        assert_same_layout(col, matching, count,
+                           oracle.reference_fourblock_join(col))
+
+
+def test_sixblock_matches_reference_layout():
+    # the half-turn join at m + y1 is the oracle's six-arc join
+    for m, y1, y2 in product(range(6), range(1, 7), range(1, 7)):
+        col, matching, count = sixblock_witness(m, y1, y2)
+        blocks = block_profile(col).block_positions()
+        assert_same_layout(col, matching, count,
+                           oracle._sixblock_joins(blocks, m, y1, y2))
