@@ -101,19 +101,26 @@ def _half_join(coloring: Coloring, c: int) -> list[tuple[int, int]]:
 
 
 def _frames(profile: BlockProfile):
-    """Every relabeling of the runs: (lead run's color, step, blocks).
+    """Every relabeling of the runs: (lead run's color, step, first,
+    sizes).
 
     Starts at each run in turn, forward (step 1) and then reflected
-    (step -1).  The blocks are position tuples read in the step's
-    rotational direction (reversed tuples for the reflected frames), so
-    a construction can speak of the first or last points of a block
-    without caring about the original orientation.
+    (step -1).  ``sizes`` are the run lengths read in the step's
+    rotational direction from the lead run, and ``first`` is the lead
+    run's first position in that direction: its first position forward,
+    its last reflected.  So a construction can speak of a block's first
+    point without caring about the original orientation, and no block's
+    positions are built.
     """
-    blocks = profile.block_positions()
-    k = len(blocks)
-    for j, (color, _) in enumerate(profile.runs):
-        yield color, 1, [blocks[(j + t) % k] for t in range(k)]
-        yield color, -1, [blocks[(j - t) % k][::-1] for t in range(k)]
+    size = profile.size
+    sizes = [length for _, length in profile.runs]
+    k = len(sizes)
+    at = profile.start
+    for j, (color, length) in enumerate(profile.runs):
+        yield color, 1, at % size, sizes[j:] + sizes[:j]
+        at += length
+        yield color, -1, (at - 1) % size, [sizes[(j - t) % k]
+                                           for t in range(k)]
 
 
 def _runs_coloring(sizes) -> Coloring:
@@ -253,19 +260,20 @@ def fourblock_max_matching(coloring: Coloring) -> tuple[Matching, int]:
     a1[x:], a2 and a3[:n-r1-b1+x].
     Its reds meet a4 in order; a2 meets a3's last b1-x reds and then
     a1[:x].  A reflected frame reads the same half in the other
-    direction, so its clockwise start is a1[0] - x + 1.
+    direction, so its clockwise start is a1[0] - x + 1.  ``_frames``
+    gives a1[0] as ``first``, with the block sizes.
     """
     profile = block_profile(coloring)
     if len(profile.runs) != 4:
         raise NotFourBlock(f"{len(profile.runs)} runs, need exactly 4")
     n = coloring.n
     # some red-led frame has both lead blocks <= n/2
-    step, (a1, a2, _, _) = next(
-        (step, blocks) for color, step, blocks in _frames(profile)
-        if color == RED and 2 * len(blocks[0]) <= n and 2 * len(blocks[1]) <= n
+    step, first, (r1, b1, _, _) = next(
+        (step, first, sizes) for color, step, first, sizes in _frames(profile)
+        if color == RED and 2 * sizes[0] <= n and 2 * sizes[1] <= n
     )
-    plan = h_value(n, len(a1), len(a2))
-    c = a1[0] + plan.x if step > 0 else a1[0] - plan.x + 1
+    plan = h_value(n, r1, b1)
+    c = first + plan.x if step > 0 else first - plan.x + 1
     matching = Matching.from_pairs(_half_join(coloring, c % n))
     count = _checked("4-block", coloring, matching, comb(n, 2) - plan.h_value)
     return matching, count

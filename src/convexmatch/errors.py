@@ -114,6 +114,10 @@ class WitnessBelowBound(FalsificationAlarm):
     """Best witness matching has fewer crossings than the guaranteed bound."""
 
 
+class MaximumMismatch(FalsificationAlarm):
+    """No matching has the closed-form maximum crossing count."""
+
+
 class SweepMismatch(FalsificationAlarm):
     """Exhaustive min-max sweep disagrees with the closed-form bound."""
 

@@ -9,9 +9,9 @@ order.  ``spectrum``, ``max_crossing``, ``find_with_k`` and the sweep
 all run one kernel, ``_dfs``, and differ only in what they want.  The
 kernel carries a bitmask of the crossing counts still wanted and each
 search's leaf callback shrinks it: ``spectrum`` wants every count not
-yet found, ``max_crossing`` every count above its incumbent, and
-``_first_hit`` a fixed set (k for ``find_with_k``, every count above
-the bound for the sweep) until its first leaf; the counts above k are
+yet found, and ``_first_hit`` a fixed set until its first leaf: the
+closed-form maximum for ``max_crossing``, k for ``find_with_k`` and
+every count above the bound for the sweep; the counts above k are
 ``_above(n, k)``.  A leaf hands the callback its count and its edge
 mask, bit i * n + j set when red i takes blue j, from which
 ``_Tables.matching`` decodes the witness.
@@ -34,6 +34,14 @@ as soon as nothing is left to want, so ``max_nodes`` counts only the
 nodes visited before then; the kernel counts it down as a plain int and
 raises ``BudgetExceeded`` on the node after the last one allowed, the
 settled last level included.
+
+The extreme counts are known in closed form.  Every coloring's maximum
+is C(n,2) - D*, D* being the deviation of its core-surplus walk about
+the median (``_walk_maximum`` proves it), so ``max_crossing`` searches
+for that one count only.  ``find_with_k`` answers k = 0 with
+``plane_matching`` and k = C(n,2) with the diameters, each the search's
+first hit at that count (its docstring proves both), and only the k in
+between run ``_first_hit``.
 
 ``spectrum`` keeps the edge mask of the first leaf with each count, and
 its ``Spectrum`` decodes them into witnesses on first read.  The CLI's
@@ -79,7 +87,11 @@ from functools import cached_property
 from itertools import product
 from math import comb, gcd
 
-from .construct import balanced_fourblock_bound, lemma3_witness
+from .construct import (
+    balanced_fourblock_bound,
+    lemma3_witness,
+    plane_matching,
+)
 from .core import (
     BLUE,
     RED,
@@ -90,6 +102,7 @@ from .core import (
 )
 from .errors import (
     BudgetExceeded,
+    MaximumMismatch,
     OutOfRange,
     SizeLimitExceeded,
     SweepMismatch,
@@ -398,21 +411,24 @@ def max_crossing(
 ) -> tuple[int, Matching]:
     """Exhaustive maximum crossing number and its first witness.
 
-    Branch and bound: only counts above the incumbent are wanted, so
-    subtrees that cannot beat it are cut.
+    The maximum is known in closed form, ``_walk_maximum`` of the
+    coloring's core-surplus walk, so the search wants that one count
+    and stops at its first leaf.  That leaf is the witness a climb
+    through ever larger counts would end on: before it, the count is
+    still wanted, so no subtree holding it is cut, and no leaf counts
+    more.  A search that finds no leaf at that count means the proof,
+    the walk or the search is wrong, and raises ``MaximumMismatch``.
     """
     budget = budget or SearchBudget()
     _check_size(coloring.n, budget)
+    top = _walk_maximum(_core_surplus(coloring.colors))
     tables = _Tables(coloring)
-    best = (-1, 0)
-
-    def hit(count: int, chosen: int) -> int:
-        nonlocal best
-        best = count, chosen
-        return _above(tables.n, count)
-
-    _dfs(tables, _above(tables.n, -1), budget.max_nodes, hit)
-    return best[0], tables.matching(best[1])
+    chosen = _first_hit(tables, 1 << top, budget.max_nodes)
+    if chosen is None:
+        raise MaximumMismatch(
+            f"no matching of {coloring} has the closed-form maximum {top}"
+        )
+    return top, tables.matching(chosen)
 
 
 def _first_hit(
@@ -438,12 +454,45 @@ def find_with_k(
     coloring: Coloring, k: int, budget: SearchBudget | None = None
 ) -> Matching | None:
     """First matching with exactly k crossings, or None if none exists
-    (a verified answer, as ``_first_hit``'s).  A k outside 0..C(n,2)
-    is answered without a search."""
+    (a verified answer, as ``_first_hit``'s).
+
+    A k outside 0..C(n,2) is answered without a search, and so are the
+    two extremes, in closed form; every other k runs ``_first_hit``.
+
+    * k = 0 is ``plane_matching``, with its validating check.  The
+      search's first leaf with 0 crossings is the lexicographically
+      least plane matching, and that is the stack matching, by
+      induction on n.  In a plane matching every chord has as many reds
+      as blues on each side, since the points on one side are matched
+      among themselves.  Let the first red lie at position p.  If
+      p > 0, a chord from it to a blue before p - 1 has only blues on
+      one side, so red 0 takes blue p - 1, as the stack does; that chord
+      crosses nothing, and the stack goes on as it would on the other
+      2n - 2 points.  If p = 0, red 0 can take blue q only when the
+      prefix [0, q] balances; the first such q is where the stack first
+      empties, popping red 0.  Both arcs left over are then matched
+      independently, the reds of the first arc come first in
+      lexicographic order, and the stack runs on each arc as on its own.
+    * k = C(n,2) is the diameters {p, p + n}, or None if an antipodal
+      pair is monochromatic.  An edge with a points on one side crosses
+      at most min(a, 2n - 2 - a) others, since every edge crossing it
+      has one end on each side.  For all pairs to cross, every edge must
+      cross the n - 1 others, so a = n - 1 and every edge is a diameter:
+      that matching is the only candidate, and its diameters pairwise
+      cross.
+    """
     budget = budget or SearchBudget()
     _check_size(coloring.n, budget)
-    if not 0 <= k <= comb(coloring.n, 2):
+    top = comb(coloring.n, 2)
+    if not 0 <= k <= top:
         return None
+    if k == 0:
+        return plane_matching(coloring)[0]
+    if k == top:
+        colors, n = coloring.colors, coloring.n
+        if any(colors[p] == colors[p + n] for p in range(n)):
+            return None
+        return Matching.from_pairs((p, p + n) for p in range(n))
     tables = _Tables(coloring)
     chosen = _first_hit(tables, 1 << k, budget.max_nodes)
     return None if chosen is None else tables.matching(chosen)
@@ -568,6 +617,62 @@ def _walk_caps(n: int) -> list[list[int]]:
     return caps
 
 
+def _core_surplus(colors: str) -> list[int]:
+    """The core-surplus walk S(0), ..., S(n-1) of a color string.
+
+    S(0) = 0, and step t adds +1 when positions t and t + n are both
+    red, -1 when both are blue and 0 otherwise.  A balanced coloring has
+    as many red antipodal pairs as blue, so the walk is n-periodic.
+    """
+    n = len(colors) // 2
+    s = 0
+    walk = []
+    for near, far in zip(colors[:n], colors[n:]):
+        walk.append(s)
+        if near == far:
+            s += 1 if near == RED else -1
+    return walk
+
+
+def _walk_maximum(values: list[int]) -> int:
+    """The maximum crossing count C(n,2) - D* of every coloring whose
+    core-surplus walk takes these n values, where D* is the walk's
+    deviation sum_t |S(t) - med| about its lower median med.
+
+    The half-turn join at a cut c with S(c) = med has exactly that many
+    crossings (``_screen_survivors`` proves its count), since the
+    deviation sum is least at a median.  No matching has more:
+
+    1. One edge.  An edge e = {i, j}, i < j, has a = j - i - 1 points on
+       one side and 2n - 2 - a on the other, and an edge that crosses it
+       has one end on each side.  So e crosses at most min(a, 2n - 2 - a)
+       edges and misses at least d(e) = |n - 1 - a| of the other n - 1:
+       d(e) is the cyclic distance from j to i + n, the antipode of i.
+    2. Sum.  Each non-crossing pair is counted from both its edges, so a
+       matching has at least (1/2) sum_e d(e) non-crossing pairs.
+    3. Transport on the circle.  sum_e d(e) is the cost of moving one
+       unit from each red's antipode to its blue partner along the cycle
+       of 2n positions, each along a shortest arc, of length d(e).  Let
+       F(t) count the red antipodes minus the blues in [0, t).  By
+       conservation at each position, the net clockwise flow across the
+       step from t - 1 to t is F(t) - m for one constant m, and each
+       unit of it is a step of some path, so
+       sum_e d(e) >= min_m sum_{t<2n} |F(t) - m|: the circular transport
+       formula (Werman, Peleg and Rosenfeld, 1985; Rabin, Delon and
+       Gousseau, 2011).
+    4. F is S twice.  Step u of F adds [u + n red] + [u red] - 1, which
+       is +1 for a red antipodal pair, -1 for a blue one and 0
+       otherwise: the walk's step.  F(n) = 0, so F(t + n) = F(t) = S(t)
+       for t < n, and the minimum is 2 D*.
+
+    So every matching misses at least D* pairs, and the maximum is
+    C(n,2) - D*, the count of the Lemma-3 witness.
+    """
+    n = len(values)
+    med = sorted(values)[(n - 1) // 2]
+    return comb(n, 2) - sum(abs(v - med) for v in values)
+
+
 # the pair (t, t + n) for each step of the core-surplus walk
 _STEP_PAIRS = {1: ((RED, RED),), -1: ((BLUE, BLUE),),
                0: ((RED, BLUE), (BLUE, RED))}
@@ -585,13 +690,13 @@ def _screen_survivors(n: int, bound: int) -> list[str]:
     the two facts below it counts C(n,2) - min_c sum_t |S(t) - S(c)|,
     which is C(n,2) - sum_t |S(t) - med| for a median med of the walk,
     since the deviation sum is least at a median and the lower median is
-    some S(c).  The count is the same on every coloring of an orbit, so
-    an orbit survives exactly when its walks have that deviation at
-    least D = C(n,2) - ``bound``.  A depth-first search over the steps
-    keeps such walks; the deviation about 0 is at least the deviation
-    about the median, so a prefix whose sum of |S| plus ``_walk_caps``'
-    most for the rest falls short of D has no surviving completion and
-    is cut.  Each kept walk is expanded over both orientations of its
+    some S(c): ``_walk_maximum`` of the walk.  The count is the same on
+    every coloring of an orbit, so an orbit survives exactly when its
+    walks have that deviation at least D = C(n,2) - ``bound``.  A
+    depth-first search over the steps keeps such walks; the deviation
+    about 0 is at least the deviation about the median, so a prefix
+    whose sum of |S| plus ``_walk_caps``' most for the rest falls short
+    of D has no surviving completion and is cut.  Each kept walk is expanded over both orientations of its
     0 steps, and an expansion is kept when it is its own canonical form,
     the least of its ``_images``.  Every coloring arises from exactly one
     walk and orientation, so each surviving orbit comes once.
@@ -635,8 +740,7 @@ def _screen_survivors(n: int, bound: int) -> list[str]:
         if a > n - t or dev + caps[t][a] < need:
             return
         if t == n:
-            med = sorted(values)[(n - 1) // 2]
-            if sum(abs(v - med) for v in values) >= need:
+            if _walk_maximum(values) <= bound:
                 for pairs in product(*(_STEP_PAIRS[x] for x in steps)):
                     colors = "".join(p[0] for p in pairs) + "".join(
                         p[1] for p in pairs)

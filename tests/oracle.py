@@ -3,10 +3,10 @@
 Nothing here imports the package under test, apart from the exceptions
 ``reference_dfs`` and ``reference_windows`` raise, the ``Coloring``
 that ``reference_colorings`` builds, the ``_images`` scan that
-``is_canonical`` reads, the half-turn join, block frames, 4-block
-plan, six-block shape, validating recount and alarm that the joins
-below, ``reference_lemma3_witness`` and ``_half_turn`` build on, check
-and raise, and the orbit enumeration that ``reference_sweep`` walks.
+``is_canonical`` reads, the half-turn join, 4-block plan, six-block
+shape, validating recount and alarm that the joins below,
+``reference_lemma3_witness`` and ``_half_turn`` build on, check and
+raise, and the orbit enumeration that ``reference_sweep`` walks.
 Joins are scored with ``reference_crossing_count``, the package's
 Fenwick-tree counter before its segmented bitsets, never with the
 counter under test.
@@ -17,13 +17,18 @@ must stay small: all_matchings is n! and colorings(n) is C(2n, n).
 ``reference_dfs`` is the slow path of the search kernel: it walks every
 chosen chord at every node and visits the last level node by node, and
 the kernel must make the same calls and spend the same nodes.
+``reference_first_hit`` runs it on ``reference_tables`` for the first
+matching with a wanted count, the reference for every closed-form
+answer of ``find_with_k`` and ``max_crossing``.
 ``reference_colorings`` is the slow path of the orbit enumeration,
 ``reference_necklaces`` filters every string for the necklaces it
 starts from, and ``burnside_orbits`` counts the orbits independently.
 ``reference_windows`` is the window scan that restarts at 0 after every
 cut, and ``reference_tables`` the candidate-edge tables built by
 bisection; the library's sliding scan and rank-indexed tables must give
-the same output.  ``_join`` is the arc join the constructions used
+the same output.  ``reference_frames`` is the block-frame scan that
+built every block's positions, from which the 4- and 6-block layouts
+below read their arcs.  ``_join`` is the arc join the constructions used
 before each became a half-turn join at a closed-form cut, and
 ``reference_alternating_join``, ``reference_fourblock_join`` and
 ``_sixblock_joins`` are their layouts on it; each construction must
@@ -44,7 +49,10 @@ sweep started from the witness), run through ``reference_dfs`` and
 ``reference_tables`` on every orbit of ``enumerate_colorings``.  The
 library builds only the orbits the half-turn screen leaves and
 searches each for a count above the bound; it must give the same value
-and minimizers.
+and minimizers.  Without a cap, ``reference_max_search`` is also
+``max_crossing`` before it searched for the closed-form maximum alone:
+the climb through ever larger counts, which must end on the same count
+and witness.
 """
 
 from bisect import bisect_left, bisect_right
@@ -53,7 +61,6 @@ from math import comb
 from types import SimpleNamespace
 
 from convexmatch.construct import (
-    _frames,
     _half_join,
     _sixblock_shape,
     balanced_fourblock_bound,
@@ -310,6 +317,32 @@ def reference_dfs(tables, wanted, max_nodes, hit):
     return (-1 if max_nodes is None else max_nodes) - left
 
 
+def reference_first_hit(coloring, wanted):
+    """The first matching in lexicographic order whose crossing count is
+    in the bitmask ``wanted``, by ``reference_dfs`` on
+    ``reference_tables``, as sorted position pairs; None if there is
+    none."""
+    tables = reference_tables(coloring)
+    found = []
+
+    def hit(count, chosen):
+        found.append(chosen)
+        return 0
+
+    reference_dfs(tables, wanted, None, hit)
+    return reference_pairs(tables, found[0]) if found else None
+
+
+def reference_pairs(tables, chosen):
+    """The matching of the edge mask ``chosen`` (bit i * n + j set when
+    red i takes blue j) as sorted position pairs."""
+    n = tables.n
+    return tuple(sorted(
+        tuple(sorted((tables.reds[e // n], tables.blues[e % n])))
+        for e in range(n * n) if chosen >> e & 1
+    ))
+
+
 def reference_windows(coloring):
     """``compose.window_partition`` before the sliding scan, verbatim
     apart from returning the windows and the remainder as a pair: every
@@ -371,6 +404,19 @@ def reference_tables(coloring):
     return self
 
 
+def reference_frames(profile):
+    """``construct._frames`` before it yielded only the lead block's
+    first position and the run sizes, verbatim: every relabeling of the
+    runs as (lead run's color, step, blocks), the blocks position tuples
+    read in the step's rotational direction (reversed tuples for the
+    reflected frames)."""
+    blocks = profile.block_positions()
+    k = len(blocks)
+    for j, (color, _) in enumerate(profile.runs):
+        yield color, 1, [blocks[(j + t) % k] for t in range(k)]
+        yield color, -1, [blocks[(j - t) % k][::-1] for t in range(k)]
+
+
 def _join(arc_pairs) -> list[tuple[int, int]]:
     """Join each pair of equal-sized arcs index by index.
 
@@ -401,7 +447,7 @@ def reference_fourblock_join(coloring):
     profile = block_profile(coloring)
     n = coloring.n
     a1, a2, a3, a4 = next(
-        blocks for color, _, blocks in _frames(profile)
+        blocks for color, _, blocks in reference_frames(profile)
         if color == RED and 2 * len(blocks[0]) <= n and 2 * len(blocks[1]) <= n
     )
     r1, b1, r2 = len(a1), len(a2), len(a3)
@@ -523,7 +569,7 @@ def _sixblock_frame(profile):
     """
     if len(profile.runs) != 6:
         return None
-    for _, _, blocks in _frames(profile):
+    for _, _, blocks in reference_frames(profile):
         shape = _sixblock_shape([len(b) for b in blocks])
         if shape is not None:
             return (blocks, *shape)

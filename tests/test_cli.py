@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -399,6 +400,59 @@ def test_readme_construct_and_render_reports(tmp_path, monkeypatch, capsys):
             "command": argv.split()[0], "input": echoed, "result": result,
             "schema": 1, "version": convexmatch.__version__,
         }, argv
+
+
+# The README's max and find commands: (argv, echoed input, result),
+# the matching given by its text.
+SEARCH_GOLDEN = (
+    ('max --coloring "1R 1B 7R 7B"', {"coloring": "1R 1B 7R 7B"},
+     {"coloring": "RBRRRRRRRBBBBBBB", "count": 27,
+      "matching": "0-9,1-8,2-10,3-11,4-12,5-13,6-14,7-15"}),
+    ("find --coloring RBRRBB --k 2", {"coloring": "RBRRBB", "k": 2},
+     {"coloring": "RBRRBB", "found": True, "k": 2,
+      "matching": "0-4,1-3,2-5"}),
+    ("find --coloring RBRRBB --k 0", {"coloring": "RBRRBB", "k": 0},
+     {"coloring": "RBRRBB", "found": True, "k": 0,
+      "matching": "0-1,2-5,3-4"}),
+)
+
+
+def matching_payload(text):
+    return {"text": text, "edges": [
+        [int(p) for p in e.split("-")] for e in text.split(",")]}
+
+
+def test_readme_max_and_find_reports(capsys):
+    assert [shlex.split(argv) for argv, _, _ in SEARCH_GOLDEN] == [
+        argv for argv in readme_commands() if argv[0] in ("max", "find")]
+    for argv, echoed, result in SEARCH_GOLDEN:
+        code, report = run_json(capsys, shlex.split(argv))
+        assert code == 0, argv
+        del report["elapsed_ms"]
+        result = {**result, "matching": matching_payload(result["matching"])}
+        assert report == {
+            "command": shlex.split(argv)[0], "input": echoed,
+            "result": result, "schema": 1,
+            "version": convexmatch.__version__,
+        }, argv
+
+
+def test_find_answers_the_extreme_targets_with_no_nodes(capsys):
+    # k = 0 and k = C(n,2) need no search, as an out-of-range k does
+    for colors, k, code, text in (
+        ("RBRRBB", 0, 0, "0-1,2-5,3-4"),
+        ("RRRBBB", 3, 0, "0-3,1-4,2-5"),
+        ("RBRRBB", 3, 1, None),  # positions 0 and 3 are both red
+        ("RBRRBB", 4, 1, None),
+    ):
+        got, report = run_json(capsys, [
+            "find", "--coloring", colors, "--k", str(k), "--max-nodes", "0"])
+        assert got == code, (colors, k)
+        assert report["result"].get("matching") == (
+            text and matching_payload(text)), (colors, k)
+    assert main(["find", "--coloring", "RRRBBB", "--k", "2",
+                 "--max-nodes", "0"]) == 1
+    assert "node budget exhausted" in capsys.readouterr().err
 
 
 def test_constructions_and_render_count_once(tmp_path, monkeypatch, capsys):

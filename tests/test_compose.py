@@ -11,7 +11,6 @@ from convexmatch import (
     allocate,
     compose,
     crossing_number,
-    find_with_k,
     plane_matching,
     window_partition,
 )
@@ -165,7 +164,9 @@ def test_compose_random_colorings():
 
 def test_compose_equals_window_by_window_search():
     # periodic colorings repeat their windows; 2n = 140 points, except
-    # that the period-6 pattern takes 144 to close its last period
+    # that the period-6 pattern takes 144 to close its last period.  Each
+    # window's reference is the oracle kernel's first hit at its target,
+    # so the closed forms of find_with_k are checked, not restated
     for pattern, reps in (("RB", 70), ("RRBB", 35), ("RRRBBB", 24)):
         col = Coloring(pattern * reps)
         plan = window_partition(col)
@@ -173,7 +174,7 @@ def test_compose_equals_window_by_window_search():
             pairs = []
             for window, target in zip(plan.windows, allocate(k, plan.ell)):
                 sub = Coloring("".join(col.colors[p] for p in window))
-                local = find_with_k(sub, target)
+                local = oracle.reference_first_hit(sub, 1 << target)
                 pairs += [(window[a], window[b]) for a, b in local]
             if plan.remainder:
                 rest = Coloring(

@@ -28,7 +28,7 @@ from convexmatch import (
     sixblock_witness,
     validate,
 )
-from convexmatch.construct import _sixblock_shape, sixblock_sizes
+from convexmatch.construct import _frames, _sixblock_shape, sixblock_sizes
 from convexmatch.core import (
     _crossing_count,
     all_symmetries,
@@ -622,6 +622,18 @@ def test_alternating_matches_reference_layout():
         col, matching, count = alternating_max_matching(n)
         assert_same_layout(col, matching, count,
                            oracle.reference_alternating_join(n))
+
+
+def test_frames_read_the_reference_blocks():
+    # each frame's lead position and run sizes are those of the blocks
+    # the reference scan builds, on every coloring with n <= 6
+    for n in range(1, 7):
+        for colors in oracle.colorings(n):
+            profile = block_profile(Coloring(colors))
+            assert list(_frames(profile)) == [
+                (color, step, blocks[0][0], [len(b) for b in blocks])
+                for color, step, blocks in oracle.reference_frames(profile)
+            ], colors
 
 
 def test_fourblock_matches_reference_layout():

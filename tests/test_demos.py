@@ -41,7 +41,7 @@ def readme_commands():
 def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     commands = readme_commands()
-    assert len(commands) == 13
+    assert len(commands) == 14
     for argv in commands:
         assert main(argv) == 0, argv
         capsys.readouterr()

@@ -28,6 +28,7 @@ from convexmatch.cli import main
 from convexmatch.core import edges_cross
 from convexmatch.errors import (
     BudgetExceeded,
+    MaximumMismatch,
     OutOfRange,
     SizeLimitExceeded,
     SweepMismatch,
@@ -180,10 +181,11 @@ def test_find_with_k():
     assert find_with_k(col, 50) is None
 
 
-def test_out_of_range_k_is_answered_without_a_search(monkeypatch):
-    def no_tables(coloring):
-        raise AssertionError(f"tables built for {coloring}")
+def no_tables(coloring):
+    raise AssertionError(f"tables built for {coloring}")
 
+
+def test_out_of_range_k_is_answered_without_a_search(monkeypatch):
     monkeypatch.setattr(search, "_Tables", no_tables)
     for n in range(1, 5):
         for colors in oracle.colorings(n):
@@ -203,6 +205,86 @@ def test_find_with_k_agrees_with_spectrum():
                 assert crossing_number(col, m) == k
             else:
                 assert m is None
+
+
+def test_extreme_targets_are_answered_without_a_search(monkeypatch):
+    # k = 0 is the stack matching and k = C(n,2) the diameters, each the
+    # oracle kernel's first hit at that count, or None where it has none
+    monkeypatch.setattr(search, "_Tables", no_tables)
+    budget = SearchBudget(max_nodes=0)
+    for n in range(1, 7):
+        for colors in oracle.colorings(n):
+            col = Coloring(colors)
+            for k in (0, comb(n, 2)):
+                found = find_with_k(col, k, budget)
+                assert (found and found.sorted_edges) == \
+                    oracle.reference_first_hit(col, 1 << k), (colors, k)
+
+
+def test_plane_target_is_the_first_plane_leaf_n7_to_10(monkeypatch):
+    monkeypatch.setattr(search, "_Tables", no_tables)
+    rng = random.Random(131)
+    for n in range(7, 11):
+        for _ in range(10):
+            colors = ["R"] * n + ["B"] * n
+            rng.shuffle(colors)
+            col = Coloring("".join(colors))
+            found = find_with_k(col, 0, SearchBudget(max_nodes=0))
+            first = oracle.reference_first_hit(col, 1)
+            assert found.sorted_edges == first, col
+
+
+def reference_maximum(col):
+    """The oracle climb's maximum and its witness as sorted pairs."""
+    tables = oracle.reference_tables(col)
+    count, chosen = oracle.reference_max_search(tables, None, None)
+    return count, oracle.reference_pairs(tables, chosen)
+
+
+def test_max_crossing_equals_reference_climb():
+    # the first hit at the closed-form maximum is the leaf the climb
+    # through ever larger counts ends on: same count, same edge mask
+    cases = [c for n in range(1, 9) for c in enumerate_colorings(n)]
+    rng = random.Random(137)
+    for n in (9, 10):
+        for _ in range(4):
+            colors = ["R"] * n + ["B"] * n
+            rng.shuffle(colors)
+            cases.append(Coloring("".join(colors)))
+    for col in cases:
+        count, matching = max_crossing(col)
+        assert (count, matching.sorted_edges) == reference_maximum(col), col
+
+
+def test_every_matching_misses_the_walk_deviation():
+    # steps 1-4 of the _walk_maximum proof, by brute force: every
+    # matching's sum of d(e) = |n - 1 - a| is at least twice the least
+    # deviation D* of the core-surplus walk, some matching meets it, and
+    # the maximum is C(n,2) - D*
+    for n in range(1, 7):
+        for rep in oracle.canonical_reps(n):
+            walk = oracle._core_surplus(Coloring(rep))
+            assert search._core_surplus(rep) == walk
+            least = min(sum(abs(s - m) for s in walk)
+                        for m in range(-n, n + 1))
+            sums = [sum(abs(n - 1 - (j - i - 1)) for i, j in pairs)
+                    for pairs in oracle.all_matchings(rep)]
+            assert min(sums) == 2 * least, rep
+            assert search._walk_maximum(walk) == comb(n, 2) - least \
+                == oracle.maximum(rep), rep
+
+
+def test_max_crossing_alarms_below_the_closed_form(monkeypatch, capsys):
+    # a closed form one above the true maximum leaves the search with no
+    # leaf to find: a falsification alarm, exit code 3
+    walk_maximum = search._walk_maximum
+    monkeypatch.setattr(search, "_walk_maximum",
+                        lambda values: walk_maximum(values) + 1)
+    col = Coloring("RRBRBB")
+    with pytest.raises(MaximumMismatch):
+        max_crossing(col)
+    assert main(["max", "--coloring", str(col)]) == 3
+    assert "FALSIFICATION ALARM" in capsys.readouterr().err
 
 
 def test_enumerate_colorings():
@@ -623,12 +705,13 @@ def test_witnesses_are_first_in_lexicographic_order_n7():
 def test_max_nodes_boundary():
     # nodes spent by spectrum, max_crossing and find_with_k(k=2), pinned
     # so that a change to pruning shows; RBRBRBRB has no matching with 2
-    # crossings, and BBBRRRRB reaches C(4,2) = 6, where spectrum and
-    # max_crossing stop as nothing more is wanted
+    # crossings, BBBRRRRB reaches C(4,2) = 6, where spectrum stops as
+    # nothing more is wanted, and max_crossing stops at its first leaf
+    # with the closed-form maximum
     spent = {
-        "RRBRBB": (11, 7, 4),
-        "RBRBRBRB": (40, 23, 25),
-        "BBBRRRRB": (33, 18, 6),
+        "RRBRBB": (11, 4, 4),
+        "RBRBRBRB": (40, 8, 25),
+        "BBBRRRRB": (33, 8, 6),
     }
     runs = (
         lambda col, budget: spectrum(col, budget),
@@ -646,10 +729,11 @@ def test_max_nodes_boundary():
 def test_max_crossing_nodes_on_fourblock_minimizers():
     # the per-edge completion interval settles these in a few thousand
     # nodes; an interval that lets every remaining edge cross every
-    # chosen edge needs 2,253,798 at n = 10
+    # chosen edge needs 2,253,798 at n = 10, and a climb through ever
+    # larger counts 3,956 and 28,160, not the first hit at the maximum
     for colors, value, nodes in (
-        ("BBBBBRRRRRBBBBBRRRRR", 32, 3956),
-        ("BBBBBBRRRRRRBBBBBBRRRRRR", 48, 28160),
+        ("BBBBBRRRRRBBBBBRRRRR", 32, 1749),
+        ("BBBBBBRRRRRRBBBBBBRRRRRR", 48, 10990),
     ):
         col = Coloring(colors)
         got, _ = max_crossing(col, SearchBudget(max_nodes=nodes, max_n=12))
