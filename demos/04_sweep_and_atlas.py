@@ -14,9 +14,10 @@ for n in range(2, 7):
     print(f"n={n}: {len(enumerate_colorings(n))} orbits")
 
 # The sweep returns the least max crossing number over all orbits,
-# i.e. the crossing number no coloring can avoid.  It searches only the
-# orbits its half-turn screen cannot rule out.  The balanced 4-block
-# coloring is always among the minimizers.
+# i.e. the crossing number no coloring can avoid.  It builds only the
+# orbits its half-turn screen leaves and searches none: every orbit's
+# maximum is its witness count.  The balanced 4-block coloring is always
+# among the minimizers.
 value, minimizers = minmax_sweep(6)
 print("\nn=6 sweep value:", value)
 print("minimizers:", [str(c) for c in minimizers])

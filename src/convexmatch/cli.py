@@ -47,6 +47,7 @@ from .errors import (
     OutOfRange,
     ParseError,
     UsageError,
+    brief,
     brief_text,
 )
 from .search import (
@@ -366,11 +367,16 @@ def _int(text: str) -> int:
         ) from None
 
 
+def _jobs(text: str) -> int:
+    """``sweep --jobs``: a count of at least 1, which changes nothing."""
+    value = _int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"jobs={brief(value)} is below 1")
+    return value
+
+
 def _budget(ns) -> SearchBudget:
-    return SearchBudget(
-        max_nodes=getattr(ns, "max_nodes", None),
-        jobs=getattr(ns, "jobs", 1),
-    )
+    return SearchBudget(max_nodes=getattr(ns, "max_nodes", None))
 
 
 def _parse_blocks(text: str, expected: int) -> list[int]:
@@ -670,7 +676,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="min over orbits of max crossings")
     sp.set_defaults(run=_cmd_sweep)
     sp.add_argument("--n", type=_int, required=True)
-    sp.add_argument("--jobs", type=_int, default=1)
+    sp.add_argument("--jobs", type=_jobs, default=1,
+                    help="accepted for compatibility; has no effect")
     common(sp)
 
     sp = sub.add_parser("atlas", help="per-orbit spectrum atlas (CSV)")

@@ -304,15 +304,6 @@ class BlockProfile:
     start: int
     runs: tuple[tuple[str, int], ...]
 
-    def block_positions(self) -> tuple[tuple[int, ...], ...]:
-        """Positions of each run, clockwise, in run order."""
-        out = []
-        at = self.start
-        for _, length in self.runs:
-            out.append(tuple((at + i) % self.size for i in range(length)))
-            at += length
-        return tuple(out)
-
 
 def block_profile(coloring: Coloring) -> BlockProfile:
     colors = coloring.colors

@@ -5,16 +5,14 @@ the n! assignments can be enumerated by depth-first search: red points
 are processed in clockwise order, and each tries the unused blue points
 in clockwise order.  That fixed order makes every reported witness
 deterministic: it is the first matching with its count in lexicographic
-order.  ``spectrum``, ``max_crossing``, ``find_with_k`` and the sweep
-all run one kernel, ``_dfs``, and differ only in what they want.  The
-kernel carries a bitmask of the crossing counts still wanted and each
-search's leaf callback shrinks it: ``spectrum`` wants every count not
-yet found, and ``_first_hit`` a fixed set until its first leaf: the
-closed-form maximum for ``max_crossing``, k for ``find_with_k`` and
-every count above the bound for the sweep; the counts above k are
-``_above(n, k)``.  A leaf hands the callback its count and its edge
-mask, bit i * n + j set when red i takes blue j, from which
-``_Tables.matching`` decodes the witness.
+order.  ``spectrum``, ``max_crossing`` and ``find_with_k`` all run one
+kernel, ``_dfs``, and differ only in what they want.  The kernel carries
+a bitmask of the crossing counts still wanted and each search's leaf
+callback shrinks it: ``spectrum`` wants every count not yet found, and
+``_first_hit`` one count until its first leaf: the closed-form maximum
+for ``max_crossing`` and k for ``find_with_k``.  A leaf hands the
+callback its count and its edge mask, bit i * n + j set when red i takes
+blue j, from which ``_Tables.matching`` decodes the witness.
 Crossing counts are maintained incrementally through a precomputed
 crossing-mask table (one n^2-bit int per candidate edge, bit i * n + j
 for each edge it crosses), and a subtree is cut when no wanted count
@@ -57,20 +55,17 @@ under reflection, colour swap or both is smaller.
 ``minmax_sweep`` closes the loop with the closed-form bound: it computes
 the minimum over all colorings (one canonical representative per
 symmetry orbit) of the maximum crossing number and insists the two
-routes agree, raising a falsification alarm otherwise.  It does not
-enumerate the orbits.  An orbit whose Lemma-3 witness counts above the
-bound cannot be a minimizer, and that count is a function of the
-orbit's core-surplus walk alone.  ``_screen_survivors`` walks the step
+routes agree, raising a falsification alarm otherwise.  It neither
+enumerates the orbits nor searches any.  Every orbit's maximum is its
+Lemma-3 witness count (``_walk_maximum`` proves it), a function of the
+orbit's core-surplus walk alone, so the minimizers are the orbits whose
+witness counts the bound.  ``_screen_survivors`` walks the step
 sequences depth first, cutting every prefix whose walk cannot reach
 the deviation the bound asks for, and builds the canonical colorings
 of the walks that do: at n = 8 two of the 257 orbits, at n = 12 two of
 28,968.  The others are counted by ``_orbit_count``, Burnside's lemma
-in closed form.  Each survivor runs one job: its witness must count
-exactly the bound, so its maximum is the bound unless a matching counts
-more, and the search looks for one in at most ``max_nodes`` nodes.
-The job is mapped in-process or over a pool of at most
-``os.cpu_count()`` workers, and no more workers than survivors; there
-is no second path.
+in closed form.  Each survivor's witness is built and recounted once,
+and must count exactly the bound.
 
 A default size limit keeps accidental combinatorial explosions out of
 interactive use; raise it through ``SearchBudget`` or the environment
@@ -117,30 +112,24 @@ DEFAULT_SEARCH_LIMIT = 10
 class SearchBudget:
     """Resource knobs for searches.
 
-    ``max_nodes`` caps visited assignment nodes (None = unlimited; per
-    searched orbit in a sweep), ``jobs`` is the worker count for sweeps
-    (at most ``os.cpu_count()`` and the orbits searched), and ``max_n``
-    overrides the default instance-size limit.
+    ``max_nodes`` caps visited assignment nodes (None = unlimited), and
+    ``max_n`` overrides the default instance-size limit.  The sweep
+    searches nothing, so it refuses a node cap.
     """
 
     max_nodes: int | None = None
-    jobs: int = 1
     max_n: int | None = None
 
     def __post_init__(self):
-        for name in ("max_nodes", "jobs", "max_n"):
+        for name in ("max_nodes", "max_n"):
             value = getattr(self, name)
-            if value is None and name != "jobs":
-                continue
             # type() rather than isinstance(), which lets True pass as 1
-            if type(value) is not int:
+            if value is not None and type(value) is not int:
                 raise OutOfRange(
                     f"{name} must be an int, not {type(value).__name__}"
                 )
         if self.max_nodes is not None and self.max_nodes < 0:
             raise OutOfRange(f"max_nodes={brief(self.max_nodes)} is negative")
-        if self.jobs < 1:
-            raise OutOfRange(f"jobs={brief(self.jobs)} is below 1")
         if self.max_n is not None and self.max_n < 1:
             raise OutOfRange(f"max_n={brief(self.max_n)} is below 1")
 
@@ -366,12 +355,6 @@ def _dfs(
         del dive  # the closure holds itself through its cell
 
 
-def _above(n: int, k: int) -> int:
-    """The wanted mask of every count above k: bits k + 1 .. C(n,2),
-    0 for k = C(n,2)."""
-    return (1 << comb(n, 2) + 1) - (1 << k + 1)
-
-
 def spectrum(coloring: Coloring, budget: SearchBudget | None = None) -> Spectrum:
     """Every achievable crossing number, with a first-found witness each.
 
@@ -385,7 +368,7 @@ def spectrum(coloring: Coloring, budget: SearchBudget | None = None) -> Spectrum
     budget = budget or SearchBudget()
     _check_size(coloring.n, budget)
     tables = _Tables(coloring)
-    unseen = _above(tables.n, -1)
+    unseen = (1 << comb(tables.n, 2) + 1) - 1
     found: dict[int, int] = {}
 
     def hit(count: int, chosen: int) -> int:
@@ -680,7 +663,7 @@ _STEP_PAIRS = {1: ((RED, RED),), -1: ((BLUE, BLUE),),
 
 def _screen_survivors(n: int, bound: int) -> list[str]:
     """The canonical colorings whose Lemma-3 witness counts at most
-    ``bound``, sorted: the orbits a witness cannot settle.
+    ``bound``, sorted: at the paper's bound, the sweep's minimizers.
 
     A coloring is its core-surplus walk S(0) = 0, ..., S(n-1) plus an
     orientation for each 0 step: step t is +1 when positions t and t + n
@@ -696,9 +679,11 @@ def _screen_survivors(n: int, bound: int) -> list[str]:
     depth-first search over the steps keeps such walks; the deviation
     about 0 is at least the deviation about the median, so a prefix
     whose sum of |S| plus ``_walk_caps``' most for the rest falls short
-    of D has no surviving completion and is cut.  Each kept walk is expanded over both orientations of its
-    0 steps, and an expansion is kept when it is its own canonical form,
-    the least of its ``_images``.  Every coloring arises from exactly one
+    of D has no surviving completion and is cut.
+
+    Each kept walk is expanded over both orientations of its 0 steps,
+    and an expansion is kept when it is its own canonical form, the
+    least of its ``_images``.  Every coloring arises from exactly one
     walk and orientation, so each surviving orbit comes once.
     ``tests/oracle.py`` keeps the closed-form join as the reference.
 
@@ -758,35 +743,6 @@ def _screen_survivors(n: int, bound: int) -> list[str]:
     return found
 
 
-def _sweep_job(args: tuple[str, int, int | None]) -> str:
-    """How one survivor was settled: ``"tight"`` when its maximum is the
-    bound, ``"beaten"`` when a matching counts more, ``"budget"`` when
-    the search ran out of nodes.
-
-    Its ``lemma3_witness``, counted by the validating
-    ``crossing_number``, proves the maximum is at least its count and
-    raises its alarm below the bound.  On a ``_screen_survivors`` orbit
-    it counts exactly the bound; any other count means the closed-form
-    screen is wrong and raises ``SweepMismatch``.  So the search only
-    has to show that no matching counts more: ``_first_hit`` wants
-    every count above the bound and stops at the first.
-    """
-    colors, bound, max_nodes = args
-    coloring = Coloring(colors)
-    count = lemma3_witness(coloring)[1]
-    if count != bound:
-        raise SweepMismatch(
-            f"orbit {colors} left by the screen has a half-turn join that "
-            f"counts {count}, not the closed-form value {bound}"
-        )
-    try:
-        beaten = _first_hit(_Tables(coloring), _above(coloring.n, bound),
-                            max_nodes) is not None
-    except BudgetExceeded:
-        return "budget"
-    return "beaten" if beaten else "tight"
-
-
 def minmax_sweep(
     n: int,
     budget: SearchBudget | None = None,
@@ -797,47 +753,40 @@ def minmax_sweep(
     Returns the value and every canonical coloring attaining it, and
     cross-checks the value against ``balanced_fourblock_bound``; any
     disagreement raises a falsification alarm.  Every orbit's maximum is
-    at least its Lemma-3 witness's count, which is at least the bound,
-    so the minimizers are the orbits whose maximum is exactly the bound,
-    and an orbit whose witness counts above it is not one.  Only the
-    orbits that witness leaves are built: ``_screen_survivors``
-    generates them from their core-surplus walks, and the others are
-    counted, not enumerated, as ``_orbit_count`` less the survivors.
-    Each survivor runs ``_sweep_job``, which checks that its witness
-    counts exactly the bound and searches for a matching that counts
-    more; the survivors with none are the minimizers, and no minimizer
-    at all raises ``SweepMismatch``.  ``budget.max_nodes`` caps each
-    searched orbit; running out raises ``BudgetExceeded``.
-    ``budget.jobs`` above 1, clamped to the CPU count and the survivor
-    count, maps the same job over a process pool, so results do not
-    depend on the worker count.  A ``settled`` dict receives how many
-    orbits the witness screen and the search settled.
+    its Lemma-3 witness's count (``_walk_maximum`` proves it), which is
+    at least the bound, so the minimizers are exactly the orbits whose
+    witness counts the bound.  ``_screen_survivors`` generates them from
+    their core-surplus walks, and ``_orbit_count`` counts all orbits
+    without enumerating them.  No orbit is searched.  Each survivor's
+    ``lemma3_witness``, recounted by the validating ``crossing_number``,
+    raises its alarm below the bound; any other count than the bound
+    means the closed-form screen is wrong and raises ``SweepMismatch``,
+    as does a screen that leaves no orbit.
+    A node cap means nothing here, so ``budget.max_nodes`` is refused
+    with ``OutOfRange``.  A ``settled`` dict receives how many orbits
+    the witness settled: all of them.
     """
     budget = budget or SearchBudget()
+    if budget.max_nodes is not None:
+        raise OutOfRange(
+            f"max_nodes={brief(budget.max_nodes)} caps a search, and the "
+            "sweep runs none"
+        )
     _check_size(n, budget)
     bound = balanced_fourblock_bound(n).value
     survivors = _screen_survivors(n, bound)
-    jobs = min(budget.jobs, os.cpu_count() or 1, len(survivors))
-    args = [(colors, bound, budget.max_nodes) for colors in survivors]
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            hows = pool.map(_sweep_job, args)
-    else:
-        hows = list(map(_sweep_job, args))
-
-    if "budget" in hows:
-        raise BudgetExceeded(
-            f"node budget exhausted on orbit {survivors[hows.index('budget')]}"
-        )
-    minimizers = [Coloring(c) for c, how in zip(survivors, hows)
-                  if how == "tight"]
-    if not minimizers:
+    if not survivors:
         raise SweepMismatch(
             f"every orbit at n={n} exceeds the closed-form value {bound}"
         )
+    minimizers = [Coloring(colors) for colors in survivors]
+    for coloring in minimizers:
+        count = lemma3_witness(coloring)[1]
+        if count != bound:
+            raise SweepMismatch(
+                f"orbit {coloring} left by the screen has a half-turn join "
+                f"that counts {count}, not the closed-form value {bound}"
+            )
     if settled is not None:
-        settled.update(witness=_orbit_count(n) - len(survivors),
-                       search=len(survivors))
+        settled.update(witness=_orbit_count(n))
     return bound, minimizers

@@ -27,12 +27,12 @@ starts from, and ``burnside_orbits`` counts the orbits independently.
 cut, and ``reference_tables`` the candidate-edge tables built by
 bisection; the library's sliding scan and rank-indexed tables must give
 the same output.  ``reference_frames`` is the block-frame scan that
-built every block's positions, from which the 4- and 6-block layouts
-below read their arcs.  ``_join`` is the arc join the constructions used
-before each became a half-turn join at a closed-form cut, and
-``reference_alternating_join``, ``reference_fourblock_join`` and
-``_sixblock_joins`` are their layouts on it; each construction must
-give the same matching.  ``reference_lemma3_witness`` is the Lemma-3
+built every block's positions, with ``block_positions``, from which the
+4- and 6-block layouts below read their arcs.  ``_join`` is the arc
+join the constructions used before each became a half-turn join at a
+closed-form cut, and ``reference_alternating_join``,
+``reference_fourblock_join`` and ``_sixblock_joins`` are their layouts
+on it; each construction must give the same matching.  ``reference_lemma3_witness`` is the Lemma-3
 witness that scanned every balanced cut pair
 (``_balanced_cut_partitions``, each joined by the four-arc
 ``_cut_pair_join``) and then scored the 4- and 6-block candidates.
@@ -404,13 +404,25 @@ def reference_tables(coloring):
     return self
 
 
+def block_positions(profile):
+    """Positions of each run of a ``BlockProfile``, clockwise, in run
+    order: the package's ``BlockProfile.block_positions`` before it
+    moved here, since only tests read it."""
+    out = []
+    at = profile.start
+    for _, length in profile.runs:
+        out.append(tuple((at + i) % profile.size for i in range(length)))
+        at += length
+    return tuple(out)
+
+
 def reference_frames(profile):
     """``construct._frames`` before it yielded only the lead block's
     first position and the run sizes, verbatim: every relabeling of the
     runs as (lead run's color, step, blocks), the blocks position tuples
     read in the step's rotational direction (reversed tuples for the
     reflected frames)."""
-    blocks = profile.block_positions()
+    blocks = block_positions(profile)
     k = len(blocks)
     for j, (color, _) in enumerate(profile.runs):
         yield color, 1, [blocks[(j + t) % k] for t in range(k)]

@@ -80,13 +80,13 @@ def test_criterion_03_sweep_agrees_with_bound():
         assert str(canon) in {str(c) for c in minimizers}
     sequential = time.time() - start
     assert sequential < 120
-    value, minimizers = minmax_sweep(8, SearchBudget(jobs=2))
+    value, minimizers = minmax_sweep(8)
     assert value == balanced_fourblock_bound(8).value == 20
     canon, _ = canonicalize(balanced_fourblock_coloring(8))
     assert str(canon) in {str(c) for c in minimizers}
     report(3, time.time() - start, 1800,
-           f"sweeps 2..7 sequential ({sequential:.1f}s) and 8 with jobs=2 "
-           "all equal the bound, balanced 4-block among minimizers")
+           f"sweeps 2..7 ({sequential:.1f}s) and 8 all equal the bound, "
+           "balanced 4-block among minimizers")
 
 
 def test_criterion_04_seven_point_spectra_cover_low_range():
@@ -180,7 +180,7 @@ def test_criterion_08_max_matchings_have_crossing_block_families():
             if len(profile.runs) != 4:
                 continue
             checked_colorings += 1
-            blocks = [set(b) for b in profile.block_positions()]
+            blocks = [set(b) for b in oracle.block_positions(profile)]
             for pairs in oracle.max_matchings(colors):
                 checked_matchings += 1
                 for block in blocks:
@@ -250,10 +250,11 @@ def test_criterion_12_sweep_n12_two_fourblock_minimizers():
     assert value == balanced_fourblock_bound(12).value == 48
     assert [str(c) for c in minimizers] == [
         "BBBBBBBRRRRRRBBBBBRRRRRR", "BBBBBBRRRRRRBBBBBBRRRRRR"]
-    assert settled == {"witness": 28966, "search": 2}
+    assert settled == {"witness": 28968}
     report(12, time.time() - start, 120,
            "sweep over all 28968 orbits at n=12 equals the bound 48; the "
-           "witness settles all but the two 4-block minimizers")
+           "witness settles every orbit, and only the two 4-block "
+           "minimizers are built")
 
 
 def test_criterion_13_sweep_n14_single_balanced_fourblock_minimizer():
@@ -264,8 +265,26 @@ def test_criterion_13_sweep_n14_single_balanced_fourblock_minimizer():
     canon, _ = canonicalize(balanced_fourblock_coloring(14))
     assert [str(c) for c in minimizers] == [str(canon)] == \
         ["BBBBBBBRRRRRRRBBBBBBBRRRRRRR"]
-    assert settled == {"witness": 361269, "search": 1}
+    assert settled == {"witness": 361270}
     assert sum(settled.values()) == oracle.burnside_orbits(14)
     report(13, time.time() - start, 60,
            "sweep over all 361270 orbits at n=14 equals the bound 66; only "
-           "the balanced 4-block orbit is built and searched")
+           "the balanced 4-block orbit is built")
+
+
+def test_criterion_14_sweep_n16_two_fourblock_minimizers():
+    start = time.time()
+    settled = {}
+    value, minimizers = minmax_sweep(16, SearchBudget(max_n=16), settled)
+    assert value == balanced_fourblock_bound(16).value == 88
+    canon, _ = canonicalize(balanced_fourblock_coloring(16))
+    assert [str(c) for c in minimizers] == [
+        "BBBBBBBBBRRRRRRRRBBBBBBBRRRRRRRR",
+        "BBBBBBBBRRRRRRRRBBBBBBBBRRRRRRRR"]
+    assert str(canon) in {str(c) for c in minimizers}
+    assert settled == {"witness": 4707969} == \
+        {"witness": oracle.burnside_orbits(16)}
+    report(14, time.time() - start, 60,
+           "sweep over all 4707969 orbits at n=16 equals the bound 88; "
+           "only the two 4-block minimizers are built, and no orbit is "
+           "searched")

@@ -20,7 +20,7 @@ GONE = {
                               "_half_turn", "_core_surplus", "_join",
                               "_sixblock_joins"),
     "convexmatch.search": ("DEFAULT_SWEEP_LIMIT", "_LIMITS", "_max_search",
-                           "_first_hits"),
+                           "_first_hits", "_sweep_job", "_above"),
     "convexmatch.errors": ("EmptyAntipodalCore", "NoBalancedCuts"),
 }
 GONE_MEMBERS = (
@@ -30,6 +30,8 @@ GONE_MEMBERS = (
     ("Symmetry", "inverse"),
     ("BlockProfile", "s"),
     ("BlockProfile", "to_coloring"),
+    ("BlockProfile", "block_positions"),
+    ("SearchBudget", "jobs"),
 )
 
 

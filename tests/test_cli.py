@@ -175,6 +175,7 @@ def test_brief_names_long_ints_by_digit_count():
 def test_bad_budgets_are_usage_errors(capsys, monkeypatch):
     assert main(["spectrum", "--coloring", "RRBRBB", "--max-nodes", "-1"]) == 2
     assert main(["sweep", "--n", "5", "--jobs", "-3"]) == 2
+    assert main(["sweep", "--n", "5", "--jobs", "0"]) == 2
     assert main(["spectrum", "--coloring", "RRBRBB", "--max-nodes", "0"]) == 1
     monkeypatch.setenv("CONVEXMATCH_MAX_N", "abc")
     assert main(["spectrum", "--coloring", "RRBB"]) == 2
@@ -497,7 +498,7 @@ def test_sweep_command(capsys):
     result = report["result"]
     assert result["value"] == 4
     assert result["minimizers"] == ["BBBRRBRR", "BBRRBBRR", "BRBRBRBR"]
-    assert result["settled"] == {"witness": 4, "search": 3}
+    assert result["settled"] == {"witness": 7}
     assert report["input"] == {"n": 4, "jobs": 1}
     assert main(["sweep", "--n", "4", "--seed", "1"]) == 2
     capsys.readouterr()
@@ -589,14 +590,17 @@ def test_find_out_of_range_k_needs_no_node(capsys):
     assert report["result"]["found"] is False
 
 
-def test_cli_import_loads_no_pool_modules():
-    # the sweep imports its process pool only when it runs one
-    code = ("import sys, convexmatch.cli; print(sorted(m for m in sys.modules"
+def test_cli_import_loads_no_pool_modules(tmp_path):
+    # no command runs a process pool, not even a sweep given --jobs 2
+    code = ("import sys, convexmatch.cli; code = convexmatch.cli.main(["
+            "'sweep', '--n', '8', '--jobs', '2', '--out', sys.argv[1]]); "
+            "print(code, sorted(m for m in sys.modules"
             " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
-    done = subprocess.run([sys.executable, "-c", code], env=package_env(),
-                          capture_output=True, text=True, timeout=60)
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "sweep.txt")],
+        env=package_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert done.stdout == "0 []\n"
 
 
 def test_search_gate_precedes_run_length_expansion(capsys):

@@ -655,6 +655,6 @@ def test_sixblock_matches_reference_layout():
     # the half-turn join at m + y1 is the oracle's six-arc join
     for m, y1, y2 in product(range(6), range(1, 7), range(1, 7)):
         col, matching, count = sixblock_witness(m, y1, y2)
-        blocks = block_profile(col).block_positions()
+        blocks = oracle.block_positions(block_profile(col))
         assert_same_layout(col, matching, count,
                            oracle._sixblock_joins(blocks, m, y1, y2))

@@ -36,7 +36,6 @@ from convexmatch.errors import (
 )
 from convexmatch.search import (
     _dfs,
-    _sweep_job,
     _Tables,
 )
 
@@ -346,22 +345,11 @@ def test_minmax_sweep_contains_balanced_fourblock():
         assert str(canon) in {str(c) for c in cols}
 
 
-def test_minmax_sweep_parallel_equals_sequential():
-    seq_value, seq_cols = minmax_sweep(4)
-    par_value, par_cols = minmax_sweep(4, SearchBudget(jobs=2))
-    assert (seq_value, [str(c) for c in seq_cols]) == \
-        (par_value, [str(c) for c in par_cols])
-
-
 def sweep(n, budget=None):
     """Sweep value, minimizer strings and settled counts."""
     settled = {}
     value, minimizers = minmax_sweep(n, budget, settled)
     return value, [str(c) for c in minimizers], settled
-
-
-def test_minmax_sweep_jobs2_equals_jobs1_n6():
-    assert sweep(6, SearchBudget(jobs=2)) == sweep(6)
 
 
 def test_sweep_frozen_with_settled_counts():
@@ -370,59 +358,54 @@ def test_sweep_frozen_with_settled_counts():
         8: (20, ["BBBBBRRRRBBBRRRR", "BBBBRRRRBBBBRRRR"]),
         9: (26, ["BBBBBRRRRBBBBRRRRR"]),
     }
-    settled = {2: (1, 1), 3: (2, 1), 4: (4, 3), 5: (12, 1), 6: (34, 1),
-               7: (84, 1), 8: (255, 2), 9: (764, 1)}
-    for n, (witness, searched) in settled.items():
+    # every orbit is settled by its witness; the survivors it builds are
+    # the minimizers
+    built = {2: (2, 1), 3: (3, 1), 4: (7, 3), 5: (13, 1), 6: (35, 1),
+             7: (85, 1), 8: (257, 2), 9: (765, 1)}
+    for n, (orbits, survivors) in built.items():
         value, minimizers, counts = sweep(n, SearchBudget(max_n=9))
-        assert counts == {"witness": witness, "search": searched}
-        assert witness + searched == len(enumerate_colorings(n))
+        assert counts == {"witness": orbits}
+        assert orbits == len(enumerate_colorings(n))
+        assert len(minimizers) == survivors
         if n in expected:
             assert (value, minimizers) == expected[n]
 
 
 def test_sweep_job_equals_capped_search():
-    # an orbit the job settles as tight has the bound as its maximum; one
-    # it settles otherwise has a larger one, or its witness is not a
-    # survivor's
-    for n in range(1, 8):
-        bound = balanced_fourblock_bound(n).value
-        for rep in enumerate_colorings(n):
+    # the sweep settles each survivor by its witness alone; a search
+    # capped at the bound finds no matching of a survivor that counts
+    # more, so its maximum is the bound
+    for n in range(1, 9):
+        value, minimizers = minmax_sweep(n)
+        for coloring in minimizers:
             capped = oracle.reference_max_search(
-                oracle.reference_tables(rep), bound, None)
-            try:
-                how = _sweep_job((rep.colors, bound, None))
-            except SweepMismatch:
-                how = "witness"
-            assert how in ("witness", "beaten", "tight"), rep
-            assert (how == "tight") == (capped is not None), rep
-            assert capped is None or capped[0] == bound, rep
+                oracle.reference_tables(coloring), value, None)
+            assert capped is not None and capped[0] == value, coloring
 
 
 def test_sweep_alarms_without_witnesses(monkeypatch):
     # a survivor's witness must count the bound: the crossing-free
-    # matching instead is an alarm, whatever the worker count, and the
-    # survivor generator does not read the witness
+    # matching instead is an alarm, and the survivor generator does not
+    # read the witness
     bound = balanced_fourblock_bound(6).value
     survivors = search._screen_survivors(6, bound)
     monkeypatch.setattr(search, "lemma3_witness", plane_matching)
-    for jobs in (1, 2):
-        with pytest.raises(SweepMismatch, match="counts 0, not the "
-                           f"closed-form value {bound}"):
-            minmax_sweep(6, SearchBudget(jobs=jobs))
+    with pytest.raises(SweepMismatch, match="counts 0, not the "
+                       f"closed-form value {bound}"):
+        minmax_sweep(6)
     assert search._screen_survivors(6, bound) == survivors
 
 
 def test_sweep_with_screen_equals_sweep_without():
-    # the sweep builds only the screen's survivors; a capped search of
-    # every orbit, with no witness, finds the same value and minimizers,
-    # and the sweep's two counts add up to the orbit count
+    # the sweep builds only the screen's survivors and searches none; a
+    # capped search of every orbit, with no witness, finds the same value
+    # and minimizers, and the witness settles every orbit
     for n in range(2, 11):
         value, minimizers, counts = sweep(n, SearchBudget(max_n=10))
         expected = oracle.reference_sweep(n)
         assert (value, minimizers) == \
             (expected[0], [str(c) for c in expected[1]]), n
-        assert counts["witness"] + counts["search"] == \
-            len(enumerate_colorings(n)), n
+        assert counts == {"witness": len(enumerate_colorings(n))}, n
 
 
 def test_screen_survivors_are_the_screened_orbits():
@@ -451,12 +434,12 @@ def test_sweep_does_not_enumerate_orbits(monkeypatch):
 
     monkeypatch.setattr(search, "enumerate_colorings", refused)
     assert sweep(8) == (20, ["BBBBBRRRRBBBRRRR", "BBBBRRRRBBBBRRRR"],
-                        {"witness": 255, "search": 2})
+                        {"witness": 257})
 
 
 def test_sweep_job_counts_one_join(monkeypatch):
-    # each survivor's witness is its only validated count: the job builds
-    # and recounts no join of its own
+    # each survivor's witness is its only validated count: the sweep
+    # recounts each survivor exactly once and builds no join of its own
     calls = []
     for module in (construct, search):
         if hasattr(module, "crossing_number"):
@@ -466,10 +449,9 @@ def test_sweep_job_counts_one_join(monkeypatch):
     bound = balanced_fourblock_bound(8).value
     survivors = search._screen_survivors(8, bound)
     assert len(survivors) == 2
-    for colors in survivors:
-        calls.clear()
-        assert _sweep_job((colors, bound, None)) == "tight"
-        assert calls == [colors]
+    calls.clear()
+    assert sweep(8)[1] == survivors
+    assert calls == survivors
 
 
 def test_sweep_mismatch_when_a_survivor_beats_the_bound(monkeypatch):
@@ -480,18 +462,6 @@ def test_sweep_mismatch_when_a_survivor_beats_the_bound(monkeypatch):
         generate(n, bound) + ["BR" * n]))
     with pytest.raises(SweepMismatch, match="BRBRBRBRBRBRBRBR"):
         minmax_sweep(8)
-
-
-def test_sweep_drops_a_survivor_the_search_beats(monkeypatch):
-    # an orbit whose witness counts the bound but whose maximum is larger
-    # is not a minimizer: the alternating orbit let through the screen
-    # with a witness faked to the bound
-    generate = search._screen_survivors
-    monkeypatch.setattr(search, "_screen_survivors", lambda n, bound: sorted(
-        generate(n, bound) + ["BR" * n]))
-    monkeypatch.setattr(search, "lemma3_witness", lambda coloring: (
-        None, balanced_fourblock_bound(coloring.n).value))
-    assert sweep(8)[:2] == (20, ["BBBBBRRRRBBBRRRR", "BBBBRRRRBBBBRRRR"])
 
 
 def test_witness_below_bound_stops_the_sweep(monkeypatch, capsys):
@@ -511,72 +481,18 @@ def test_sweep_mismatch_when_bound_is_off(monkeypatch):
         fake = replace(true_bound, value=true_bound.value + shift)
         monkeypatch.setattr(search, "balanced_fourblock_bound",
                             lambda n: fake)
-        for jobs in (1, 2):
-            with pytest.raises(SweepMismatch):
-                minmax_sweep(5, SearchBudget(jobs=jobs))
+        with pytest.raises(SweepMismatch):
+            minmax_sweep(5)
 
 
-def test_minmax_sweep_honours_max_nodes():
-    for jobs in (1, 2):
-        with pytest.raises(BudgetExceeded):
-            minmax_sweep(6, SearchBudget(max_nodes=1, jobs=jobs))
-        value, minimizers = minmax_sweep(
-            6, SearchBudget(max_nodes=10**6, jobs=jobs))
-        assert (value, [str(c) for c in minimizers]) == (10, ["BBBRRRBBBRRR"])
-
-
-def test_sweep_node_budget_boundary():
-    # each survivor spends the nodes the reference kernel spends wanting
-    # every count above the bound (229,386 at n = 14 when the search
-    # climbed from -1); the sweep completes on the most of them and runs
-    # out one node below, whatever the worker count
-    for n, nodes in ((7, 64), (8, 245), (14, 111_361)):
-        bound = balanced_fourblock_bound(n).value
-        every = (1 << comb(n, 2) + 1) - 1
-        above = every >> (bound + 1) << (bound + 1)
-        spent = []
-        for colors in search._screen_survivors(n, bound):
-            tables = oracle.reference_tables(Coloring(colors))
-            used = oracle.reference_dfs(tables, above, None, lambda c, m: 0)
-            assert _sweep_job((colors, bound, used)) == "tight"
-            assert _sweep_job((colors, bound, used - 1)) == "budget"
-            spent.append(used)
-        assert max(spent) == nodes, n
-    for n, nodes in ((7, 64), (8, 245)):
-        for jobs in (1, 2):
-            minmax_sweep(n, SearchBudget(max_nodes=nodes, jobs=jobs))
-            with pytest.raises(BudgetExceeded):
-                minmax_sweep(n, SearchBudget(max_nodes=nodes - 1, jobs=jobs))
-
-
-def test_sweep_jobs_clamped_to_cpu_count(monkeypatch):
-    import multiprocessing
-
-    workers = []
-
-    class FakePool:
-        def __init__(self, processes):
-            workers.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, iterable, chunksize=None):
-            return list(map(func, iterable))
-
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    # n = 4 leaves three orbits to search and n = 6 one, and the pool
-    # never has more workers than orbits
-    for n, pools_at_3 in ((4, [3]), (6, [])):
-        expected = sweep(n)
-        for cpus, pools in ((None, []), (1, []), (3, pools_at_3)):
-            workers.clear()
-            monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
-            assert sweep(n, SearchBudget(jobs=64)) == expected
-            assert workers == pools
+def test_minmax_sweep_refuses_max_nodes():
+    # the sweep searches nothing, so a node cap is refused, not ignored,
+    # and the CLI sweep has no --max-nodes flag
+    for nodes in (0, 1, 10**6, 10**30):
+        with pytest.raises(OutOfRange, match="max_nodes"):
+            minmax_sweep(6, SearchBudget(max_nodes=nodes))
+    assert sweep(6, SearchBudget(max_n=6))[:2] == (10, ["BBBRRRBBBRRR"])
+    assert main(["sweep", "--n", "6", "--max-nodes", "5"]) == 2
 
 
 def test_size_limits():
@@ -635,17 +551,14 @@ def test_tables_match_reference():
 
 
 def test_search_budget_rejects_bad_fields():
-    for fields in ({"max_nodes": -1}, {"jobs": 0}, {"jobs": -3},
-                   {"max_n": 0}):
+    for fields in ({"max_nodes": -1}, {"max_n": 0}):
         with pytest.raises(OutOfRange):
             SearchBudget(**fields)
     # only a plain int is a count: no float, text or bool
-    for name in ("max_nodes", "jobs", "max_n"):
+    for name in ("max_nodes", "max_n"):
         for value in (2.5, "5", True):
             with pytest.raises(OutOfRange, match=name):
                 SearchBudget(**{name: value})
-    with pytest.raises(OutOfRange):
-        SearchBudget(jobs=None)
     assert SearchBudget(max_nodes=0).max_nodes == 0
 
 
