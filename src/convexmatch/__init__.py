@@ -57,6 +57,7 @@ from .errors import (
 from .search import (
     SearchBudget,
     Spectrum,
+    achievable_counts,
     enumerate_colorings,
     find_with_k,
     max_crossing,
@@ -84,6 +85,7 @@ __all__ = [
     "Symmetry",
     "Unachievable",
     "UsageError",
+    "achievable_counts",
     "all_symmetries",
     "allocate",
     "alternating_coloring",

@@ -39,7 +39,6 @@ from .construct import (
 )
 from .core import Coloring, Matching, _from_runs, _images, crossing_number
 from .errors import (
-    BudgetExceeded,
     CorruptJournal,
     DomainNegative,
     FalsificationAlarm,
@@ -53,6 +52,7 @@ from .errors import (
 from .search import (
     SearchBudget,
     _check_size,
+    achievable_counts,
     enumerate_colorings,
     find_with_k,
     max_crossing,
@@ -285,16 +285,22 @@ def atlas(n: int, out_path: str, budget: SearchBudget | None = None) -> dict:
 
     Each orbit's size is the number of distinct images in the one scan
     of its canonical coloring under the symmetry group.  Its counts are
-    its ``spectrum``'s, whose witnesses the atlas never reads and so
-    never decodes.  Progress is journaled per canonical coloring next to
-    the output file, so an interrupted run resumes where it stopped,
-    even after a torn last write or an orbit that ran out of nodes,
-    which ``BudgetExceeded`` names; the journal is removed once the CSV
-    and sidecar have been written atomically.  An n above the search
-    limit, and a CSV or sidecar path that is an existing directory, are
-    rejected before any file is touched.
+    its ``achievable_counts``, one position scan that builds no search
+    table and no witness.  Progress is journaled per canonical coloring
+    next to the output file, so an interrupted run resumes where it
+    stopped, even after a torn last write; the journal is removed once
+    the CSV and sidecar have been written atomically.  An n above the
+    search limit, a node cap (the atlas searches nothing, so
+    ``budget.max_nodes`` is refused with ``OutOfRange``) and a CSV or
+    sidecar path that is an existing directory are rejected before any
+    file is touched.
     """
     budget = budget or SearchBudget()
+    if budget.max_nodes is not None:
+        raise OutOfRange(
+            f"max_nodes={brief(budget.max_nodes)} caps a search, and the "
+            "atlas runs none"
+        )
     _check_size(n, budget)
     sidecar = out_path + ".json"
     for path in (out_path, sidecar):
@@ -308,12 +314,7 @@ def atlas(n: int, out_path: str, budget: SearchBudget | None = None) -> dict:
         for rep in reps:
             if rep.colors in done:
                 continue
-            try:
-                achievable = spectrum(rep, budget).achievable
-            except BudgetExceeded as out:
-                raise BudgetExceeded(
-                    f"node budget exhausted on orbit {rep.colors}", out.partial
-                ) from None
+            achievable = achievable_counts(rep, budget)
             low = achievable[0]
             high = achievable[-1]
             missing = [v for v in range(low, high + 1) if v not in achievable]
@@ -510,7 +511,7 @@ def _cmd_sweep(ns) -> tuple[dict, int]:
 def _cmd_atlas(ns) -> tuple[dict, int]:
     if not ns.out:
         raise UsageError("atlas needs --out for the CSV path")
-    summary = atlas(ns.n, ns.out, _budget(ns))
+    summary = atlas(ns.n, ns.out)
     return summary, 0
 
 
@@ -683,7 +684,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("atlas", help="per-orbit spectrum atlas (CSV)")
     sp.set_defaults(run=_cmd_atlas)
     sp.add_argument("--n", type=_int, required=True)
-    sp.add_argument("--max-nodes", type=_int, dest="max_nodes")
     common(sp)
 
     sp = sub.add_parser("render", help="SVG picture of a matching")

@@ -42,9 +42,27 @@ first hit at that count (its docstring proves both), and only the k in
 between run ``_first_hit``.
 
 ``spectrum`` keeps the edge mask of the first leaf with each count, and
-its ``Spectrum`` decodes them into witnesses on first read.  The CLI's
-atlas, which writes only the counts, calls the same ``spectrum`` and
-decodes none.
+its ``Spectrum`` decodes them into witnesses on first read.
+
+``achievable_counts`` finds the same counts with no search and no
+witness, for the CLI's atlas, which writes only the counts.  It scans
+the 2n positions once, left to right.  A state is the colour word w of
+the chords still open, in the order they opened, and keeps the crossing
+counts that reach it as one int bitmask.  A point either opens a chord,
+while the points still to come can close every open one, or closes an
+open chord of the other colour, at index i of w.  That chord is crossed
+by the len(w) - 1 - i chords opened after it and still open, so closing
+it shifts the mask left by that many.  The runs of choices that end at
+the empty word are exactly the perfect matchings, and the open rule
+drops only runs that cannot end there.  Each crossing is counted exactly
+once: chords (a, b) and (c, d) with a < c < b < d cross, and are
+counted when b closes while c is open.  A nested pair, a < c < d < b,
+is never counted, since c's chord has closed before b; nor is a
+disjoint pair, since the first has closed before the second opens.  So
+the empty word's mask after the last point holds exactly the achievable
+counts, and the scan proves each absent count.  The word is kept as an
+int under a sentinel 1 at bit len(w): bit j, set when red, is the chord
+with j chords opened after it, which shifts the mask by j.
 
 ``enumerate_colorings`` lists one canonical representative per symmetry
 orbit, for the CLI's atlas.  It generates the fixed-content necklaces,
@@ -70,7 +88,7 @@ and must count exactly the bound.
 A default size limit keeps accidental combinatorial explosions out of
 interactive use; raise it through ``SearchBudget`` or the environment
 variable ``CONVEXMATCH_MAX_N``.  One gate, ``_check_size``, applies it
-to the searches, the sweep and the CLI's atlas.
+to the searches, the scan, the sweep and the CLI's atlas.
 """
 
 from __future__ import annotations
@@ -113,8 +131,9 @@ class SearchBudget:
     """Resource knobs for searches.
 
     ``max_nodes`` caps visited assignment nodes (None = unlimited), and
-    ``max_n`` overrides the default instance-size limit.  The sweep
-    searches nothing, so it refuses a node cap.
+    ``max_n`` overrides the default instance-size limit.  The sweep,
+    ``achievable_counts`` and the CLI's atlas search nothing, so they
+    refuse a node cap.
     """
 
     max_nodes: int | None = None
@@ -387,6 +406,64 @@ def spectrum(coloring: Coloring, budget: SearchBudget | None = None) -> Spectrum
         out.partial = result(False)
         raise
     return result(True)
+
+
+def _refuse_node_cap(budget: SearchBudget, runner: str):
+    """A node cap means nothing to a path that searches no matching."""
+    if budget.max_nodes is not None:
+        raise OutOfRange(
+            f"max_nodes={brief(budget.max_nodes)} caps a search, and the "
+            f"{runner} runs none"
+        )
+
+
+def achievable_counts(
+    coloring: Coloring, budget: SearchBudget | None = None
+) -> list[int]:
+    """Every achievable crossing number, sorted, from one position scan.
+
+    The scan is exact and keeps no witness (see the module docstring).
+    Its least count must be 0 and its greatest the closed-form maximum
+    ``_walk_maximum``; anything else raises ``MaximumMismatch``.  It
+    visits no node, so ``budget.max_nodes`` is refused with
+    ``OutOfRange``; ``budget.max_n`` gates the size as for a search.
+    """
+    budget = budget or SearchBudget()
+    _refuse_node_cap(budget, "scan")
+    _check_size(coloring.n, budget)
+    colors = coloring.colors
+    size = len(colors)
+    states = {1: 1}  # open colour word -> mask of counts so far
+    for p, color in enumerate(colors):
+        ahead = size - 1 - p  # points still to come
+        red = color == RED
+        reached: dict[int, int] = {}
+        for word, mask in states.items():
+            depth = word.bit_length() - 1
+            if depth < ahead:
+                key = word << 1 | red
+                reached[key] = reached.get(key, 0) | mask
+            letters = (1 << depth) - 1
+            # the open chords of the other colour, one bit each
+            other = (word & letters) ^ letters if red else word & letters
+            while other:
+                bit = other & -other
+                other ^= bit
+                i = bit.bit_length() - 1
+                key = (word >> (i + 1) << i) | (word & (bit - 1))
+                reached[key] = reached.get(key, 0) | mask << i
+        states = reached
+    mask = states.get(1, 0)
+    top = _walk_maximum(_core_surplus(colors))
+    low = (mask & -mask).bit_length() - 1
+    high = mask.bit_length() - 1
+    if low != 0 or high != top:
+        raise MaximumMismatch(
+            f"the scan of {coloring} reaches counts {low} to {high}, not 0 "
+            f"to the closed-form maximum {top}"
+        )
+    # a list: tuple(<generator>) guesses a size and resizes
+    return [k for k in range(top + 1) if mask >> k & 1]
 
 
 def max_crossing(
@@ -767,11 +844,7 @@ def minmax_sweep(
     the witness settled: all of them.
     """
     budget = budget or SearchBudget()
-    if budget.max_nodes is not None:
-        raise OutOfRange(
-            f"max_nodes={brief(budget.max_nodes)} caps a search, and the "
-            "sweep runs none"
-        )
+    _refuse_node_cap(budget, "sweep")
     _check_size(n, budget)
     bound = balanced_fourblock_bound(n).value
     survivors = _screen_survivors(n, bound)

@@ -13,6 +13,7 @@ import oracle
 from convexmatch import (
     Coloring,
     SearchBudget,
+    achievable_counts,
     all_symmetries,
     alternating_max_matching,
     balanced_fourblock_bound,
@@ -288,3 +289,38 @@ def test_criterion_14_sweep_n16_two_fourblock_minimizers():
            "sweep over all 4707969 orbits at n=16 equals the bound 88; "
            "only the two 4-block minimizers are built, and no orbit is "
            "searched")
+
+
+def test_criterion_15_spectrum_shapes_up_to_n10():
+    # a computed table, not a claim of the paper: a difference here is a
+    # finding about the spectra, not a falsification of the bound
+    start = time.time()
+    alternating_odd = {5: [8, 9], 7: [16, 19, 20], 9: [31, 34, 35]}
+    top_gap = {4: "BBRBRRBR", 6: "BBRBRBRRBRBR", 8: "BBRBRBRBRRBRBRBR",
+               10: "BBRBRBRBRBRRBRBRBRBR"}
+    for n in range(1, 11):
+        gapped = {}
+        universal = None
+        for rep in enumerate_colorings(n):
+            counts = achievable_counts(rep)
+            universal = (set(counts) if universal is None
+                         else universal & set(counts))
+            missing = [k for k in range(counts[-1] + 1) if k not in counts]
+            if missing:
+                gapped[rep.colors] = missing
+        expected = {}
+        if n >= 3:
+            expected["BR" * n] = [1, 2] + alternating_odd.get(n, [])
+        if n in top_gap:
+            expected[top_gap[n]] = [comb2(n) - 2]
+        if n == 6:
+            expected["BBRRBBRRBBRR"] = [11]
+        assert gapped == expected, n
+        if n >= 5:
+            bound = balanced_fourblock_bound(n).value
+            assert universal == {0} | set(range(3, bound + 1)), n
+    report(15, time.time() - start, 60,
+           "every orbit with n <= 10 reaches 0..M but the alternating "
+           "coloring and one M = C(n,2) orbit per even n >= 4 (and "
+           "BBRRBBRRBBRR); all spectra share {0} u [3, B(n)] for "
+           "5 <= n <= 10")

@@ -59,3 +59,11 @@ def test_cli_binds_no_private_search_name_but_the_size_gate():
     bound = {private[id(obj)] for obj in vars(cli).values()
              if id(obj) in private}
     assert bound == {"_check_size"}
+
+
+def test_achievable_counts_is_exported_with_the_searches():
+    # the position scan sits next to the searches it answers for, and the
+    # CLI's atlas reads it through its public name
+    assert "achievable_counts" in convexmatch.__all__
+    assert convexmatch.achievable_counts is search.achievable_counts
+    assert cli.achievable_counts is search.achievable_counts

@@ -567,8 +567,8 @@ def test_atlas_failed_replace_leaves_no_temporary_file(tmp_path, monkeypatch):
 def test_atlas_refuses_directory_outputs_before_searching(
         tmp_path, capsys, monkeypatch, taken):
     searched = []
-    real = cli.spectrum
-    monkeypatch.setattr(cli, "spectrum",
+    real = cli.achievable_counts
+    monkeypatch.setattr(cli, "achievable_counts",
                         lambda *args: searched.append(args) or real(*args))
     argv = ["atlas", "--n", "3", "--out", str(tmp_path / "atlas.csv")]
     (tmp_path / taken).mkdir()
@@ -645,7 +645,7 @@ def _interrupted_atlas(monkeypatch, n, out, rows):
     """Run atlas until it has journaled ``rows`` more rows."""
     import convexmatch.cli as cli
 
-    real = cli.spectrum
+    real = cli.achievable_counts
     calls = []
 
     def stopping(*args):
@@ -654,10 +654,10 @@ def _interrupted_atlas(monkeypatch, n, out, rows):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cli, "spectrum", stopping)
+    monkeypatch.setattr(cli, "achievable_counts", stopping)
     with pytest.raises(KeyboardInterrupt):
         atlas(n, str(out))
-    monkeypatch.setattr(cli, "spectrum", real)
+    monkeypatch.setattr(cli, "achievable_counts", real)
 
 
 def test_atlas_resumes_after_torn_journal(tmp_path, monkeypatch):
@@ -768,70 +768,43 @@ def test_atlas_rows_agree_with_library(tmp_path):
             }
 
 
-def test_atlas_budget_agrees_with_spectrum(tmp_path):
-    from convexmatch import SearchBudget, enumerate_colorings, spectrum
-    from convexmatch.errors import BudgetExceeded
+def test_atlas_refuses_a_node_cap(tmp_path):
+    # the atlas searches nothing, so a node cap is refused before any
+    # file is touched, even with a journal to resume from
+    from convexmatch import SearchBudget
+    from convexmatch.errors import OutOfRange
 
-    def runs_out(search, *args):
-        try:
-            search(*args)
-        except BudgetExceeded:
-            return True
-        return False
-
-    for n in range(1, 5):
-        reps = enumerate_colorings(n)
-        for k in range(41):
-            budget = SearchBudget(max_nodes=k)
-            out = str(tmp_path / f"atlas{n}-{k}.csv")
-            assert runs_out(atlas, n, out, budget) == any(
-                runs_out(spectrum, rep, budget) for rep in reps
-            ), (n, k)
+    out = tmp_path / "atlas.csv"
+    journal = tmp_path / "atlas.csv.journal"
+    journal.write_text('{"n": 4, "coloring": "BBBBRRRR", "orbit_si')
+    for k in (0, 36, 10**6):
+        with pytest.raises(OutOfRange, match=f"max_nodes={k} caps a search"):
+            atlas(4, str(out), SearchBudget(max_nodes=k))
+        assert [p.name for p in tmp_path.iterdir()] == [journal.name]
+        assert journal.read_text().endswith('"orbit_si')
 
 
-def test_atlas_names_the_orbit_that_ran_out_of_nodes(tmp_path, capsys):
-    from convexmatch import SearchBudget, enumerate_colorings, spectrum
-    from convexmatch.errors import BudgetExceeded
-
-    def runs_out(rep):
-        try:
-            spectrum(rep, SearchBudget(max_nodes=36))
-        except BudgetExceeded:
-            return True
-        return False
-
-    reps = enumerate_colorings(4)
-    stop = next(i for i, rep in enumerate(reps) if runs_out(rep))
-    assert stop > 0
+def test_atlas_cli_takes_no_max_nodes(tmp_path, capsys):
     out = tmp_path / "atlas.csv"
     argv = ["atlas", "--n", "4", "--out", str(out)]
-    assert main(argv + ["--max-nodes", "36"]) == 1
-    assert capsys.readouterr().err == (
-        f"no: node budget exhausted on orbit {reps[stop].colors}\n")
-    # the orbits before it are journaled, and a run without the cap
-    # resumes from them
-    journal = tmp_path / "atlas.csv.journal"
-    assert [json.loads(line)["coloring"]
-            for line in journal.read_text().splitlines()] == [
-        rep.colors for rep in reps[:stop]]
-    assert [p.name for p in tmp_path.iterdir()] == [journal.name]
-    clean = tmp_path / "clean.csv"
-    atlas(4, str(clean))
+    assert main(argv + ["--max-nodes", "36"]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --max-nodes 36" in err
+    assert list(tmp_path.iterdir()) == []
     assert main(argv) == 0
-    assert out.read_bytes() == clean.read_bytes()
-    assert not journal.exists()
 
 
 def test_atlas_decodes_no_witness(tmp_path, monkeypatch):
+    # the atlas reads the position scan, so it builds no search table
     from convexmatch import search
 
     clean = tmp_path / "clean.csv"
     atlas(6, str(clean))
 
-    def matching(self, chosen):
-        raise AssertionError("the atlas decoded a witness")
+    def build(self, coloring):
+        raise AssertionError("the atlas built search tables")
 
-    monkeypatch.setattr(search._Tables, "matching", matching)
+    monkeypatch.setattr(search._Tables, "__init__", build)
     out = tmp_path / "atlas.csv"
     atlas(6, str(out))
     assert out.read_bytes() == clean.read_bytes()

@@ -185,8 +185,6 @@ def draw(rng, tmp_path, index):
             argv += ["--jobs", number(rng, 1, 2)]
     elif command == "atlas":
         option(rng, argv, "--n", number(rng, 1, 4, huge=True))
-        if rng.random() < 0.3:
-            argv += ["--max-nodes", number(rng, 0, 200)]
     else:
         text = colors(rng, rng.randint(1, 8))
         option(rng, argv, "--coloring", pick(rng, text))

@@ -12,6 +12,7 @@ from convexmatch import (
     Coloring,
     Matching,
     SearchBudget,
+    achievable_counts,
     balanced_fourblock_bound,
     canonicalize,
     compose,
@@ -152,6 +153,55 @@ def test_spectrum_decodes_each_witness_once_on_first_read(monkeypatch):
         assert len(decoded) == len(spec.achievable) > 0
         assert spec.witnesses is witnesses
         assert len(decoded) == len(spec.achievable)
+
+
+def test_achievable_counts_match_oracle():
+    for n in range(1, 6):
+        for colors in oracle.colorings(n):
+            assert achievable_counts(Coloring(colors)) == \
+                oracle.spectrum(colors), colors
+
+
+def test_achievable_counts_match_spectrum():
+    # every orbit with n <= 8, then seeded random colorings and the
+    # alternating coloring, whose gaps the scan must prove too
+    cases = [rep for n in range(1, 9) for rep in enumerate_colorings(n)]
+    rng = random.Random(33)
+    for n in (9, 10):
+        for _ in range(20):
+            colors = list("R" * n + "B" * n)
+            rng.shuffle(colors)
+            cases.append(Coloring("".join(colors)))
+        cases.append(Coloring("RB" * n))
+    for col in cases:
+        counts = achievable_counts(col)
+        assert type(counts) is list
+        assert counts == list(spectrum(col).achievable), col.colors
+
+
+def test_achievable_counts_gate_like_the_sweep():
+    col = Coloring("RB" * 11)
+    with pytest.raises(SizeLimitExceeded):
+        achievable_counts(col)
+    assert achievable_counts(col, SearchBudget(max_n=11))[:3] == [0, 3, 4]
+    # the scan visits no node, so a node cap is refused, not ignored
+    for nodes in (0, 1, 10**30):
+        with pytest.raises(OutOfRange, match="the scan runs none"):
+            achievable_counts(Coloring("RRBB"), SearchBudget(max_nodes=nodes))
+
+
+def test_achievable_counts_alarm_off_the_closed_form(
+        monkeypatch, capsys, tmp_path):
+    # a closed-form maximum one above the scan's greatest count is a
+    # falsification alarm, in the library and in the CLI's atlas
+    walk_maximum = search._walk_maximum
+    monkeypatch.setattr(search, "_walk_maximum",
+                        lambda values: walk_maximum(values) + 1)
+    with pytest.raises(MaximumMismatch, match="closed-form maximum 2"):
+        achievable_counts(Coloring("RRBB"))
+    out = str(tmp_path / "atlas.csv")
+    assert main(["atlas", "--n", "3", "--out", out]) == 3
+    assert "FALSIFICATION ALARM" in capsys.readouterr().err
 
 
 def test_max_crossing_frozen():
